@@ -3,7 +3,7 @@
 Subcommands: analyze (decide one digit set), construct (build from a
 recipe file, then decide), kernels (enumerate blockings for a base),
 geometry (exact interval cover of the attractor), oracle (integer-tiling
-and continuity cross-checks), cache (warm the cyclotomic store).
+and continuity cross-checks).
 
 Exit codes: 0 for a tile verdict or plain success, 1 for a not-tile
 verdict or a failed oracle search, 2 for usage and data errors, 3 when
@@ -17,7 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from .cyclo import cyclotomic, default_cache
 from .errors import CyclotileError
 from .oracles import (
     absolute_continuity_check,
@@ -235,36 +234,14 @@ def _run_oracle(args) -> int:
     return EXIT_TILE if tiling is not None else EXIT_NOT_TILE
 
 
-def _run_cache(args) -> int:
-    if args.cache is None:
-        raise CyclotileError("cache needs --cache PATH to load and save")
-    if args.warm is not None:
-        for n in range(1, args.warm + 1):
-            cyclotomic(n)
-    indices = default_cache().indices()
-    if indices:
-        print(f"{len(indices)} cached cyclotomics, largest index {indices[-1]}")
-    else:
-        print("cache is empty")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help="cyclotomic cache file, loaded before the run and saved after",
-    )
-
     parser = argparse.ArgumentParser(
         prog="cyclotile",
         description="Exact analysis and construction of tile digit sets on the line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="decide one digit set")
+    p = sub.add_parser("analyze", help="decide one digit set")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--digits", required=True, help="comma separated, e.g. 0,1,8,9")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
@@ -276,17 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum-cap", type=int, default=None)
     p.set_defaults(handler=_run_analyze)
 
-    p = sub.add_parser(
-        "construct", parents=[common], help="build a digit set from a recipe file"
-    )
+    p = sub.add_parser("construct", help="build a digit set from a recipe file")
     p.add_argument("--recipe", type=Path, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(handler=_run_construct)
 
-    p = sub.add_parser(
-        "kernels", parents=[common], help="enumerate blockings and kernel degrees"
-    )
+    p = sub.add_parser("kernels", help="enumerate blockings and kernel degrees")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--digits", default=None, help="restrict to blockings dividing this mask")
@@ -294,18 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_run_kernels)
 
-    p = sub.add_parser(
-        "geometry", parents=[common], help="exact interval cover of the attractor"
-    )
+    p = sub.add_parser("geometry", help="exact interval cover of the attractor")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--format", choices=("text", "svg"), default="text")
     p.set_defaults(handler=_run_geometry)
 
-    p = sub.add_parser(
-        "oracle", parents=[common], help="integer-tiling and continuity cross-checks"
-    )
+    p = sub.add_parser("oracle", help="integer-tiling and continuity cross-checks")
     p.add_argument("--digits", required=True)
     p.add_argument("--base", type=int, default=None)
     p.add_argument("--period-cap", type=int, default=None)
@@ -313,24 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_run_oracle)
 
-    p = sub.add_parser(
-        "cache", parents=[common], help="warm and inspect the cyclotomic cache"
-    )
-    p.add_argument("--warm", type=int, default=None, help="precompute indices 1..N")
-    p.set_defaults(handler=_run_cache)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cache is not None:
-            default_cache().load(args.cache)
-        code = args.handler(args)
-        if args.cache is not None:
-            default_cache().save(args.cache)
-        return code
+        return args.handler(args)
     except (CyclotileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -10,21 +10,13 @@ the divisor identity, every intermediate division exact); for any other n it
 is the squarefree-radical cyclotomic with x replaced by a power.  Both routes
 follow from the divisor identity and agree with the direct definition; the
 test suite re-derives them from scratch.
-
-A process-wide cache keyed by index backs cyclotomic().  It can be loaded
-from and saved to a small text file so repeated CLI runs do not recompute
-large indices; entries are format-checked and spot-verified against the
-divisor identity on load, and anything corrupt is dropped silently.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
-from .intpoly import IntPoly, divide_exact, divmod_exact
-
-CACHE_HEADER = "cyclotile-cyclotomic-cache v1"
+from .intpoly import IntPoly, divide_exact
 
 
 @lru_cache(maxsize=None)
@@ -82,113 +74,17 @@ def is_prime_power(n: int):
     return None
 
 
-class CyclotomicCache:
-    """Index -> polynomial store with optional file persistence.
-
-    Reads are plain dict lookups; writes are serialized by a lock so the
-    pure functions in this module can be called from worker threads.
-    """
-
-    def __init__(self):
-        self._entries: dict[int, IntPoly] = {}
-        self._lock = threading.Lock()
-
-    def get(self, n: int):
-        return self._entries.get(n)
-
-    def put(self, n: int, poly: IntPoly) -> None:
-        with self._lock:
-            self._entries[n] = poly
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._entries))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, path) -> int:
-        """Write all entries; returns the number written."""
-        with self._lock:
-            items = sorted(self._entries.items())
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(CACHE_HEADER + "\n")
-            for n, poly in items:
-                fh.write(f"{n} {poly.to_pair_string()}\n")
-        return len(items)
-
-    def load(self, path, spot_checks: int = 5) -> int:
-        """Merge entries from a cache file; returns the number accepted.
-
-        Each entry must parse, be monic, and have degree euler_phi(n).  The
-        smallest spot_checks indices additionally get the full test that the
-        entry divides x**n - 1 exactly.  Entries failing anything are
-        dropped, to be recomputed on demand instead of trusted.
-        """
-        try:
-            with open(path, encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return 0
-        if not lines or lines[0].strip() != CACHE_HEADER:
-            return 0
-        loaded: dict[int, IntPoly] = {}
-        for line in lines[1:]:
-            line = line.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            try:
-                n = int(head)
-                poly = IntPoly.from_pair_string(rest)
-            except ValueError:
-                continue
-            if n < 1 or poly.is_zero:
-                continue
-            if poly.degree != euler_phi(n) or poly.leading != 1:
-                continue
-            if poly.at_one() != phi_at_one(n):
-                continue
-            loaded[n] = poly
-        for n in sorted(loaded)[:spot_checks]:
-            binomial = IntPoly.x_power(n) - IntPoly.one()
-            if divide_exact(binomial, loaded[n]) is None:
-                del loaded[n]
-        with self._lock:
-            self._entries.update(loaded)
-        return len(loaded)
-
-
-_default_cache = CyclotomicCache()
-
-
-def default_cache() -> CyclotomicCache:
-    return _default_cache
-
-
-def cyclotomic(n: int, cache: CyclotomicCache | None = None) -> IntPoly:
+@lru_cache(maxsize=None)
+def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, exact and monic of degree euler_phi(n)."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    store = cache if cache is not None else _default_cache
-    hit = store.get(n)
-    if hit is not None:
-        return hit
     if n == 1:
-        poly = IntPoly((-1, 1))
-    else:
-        rad = radical(n)
-        if rad != n:
-            poly = cyclotomic(rad, store).compose_power(n // rad)
-        else:
-            poly = _squarefree_cyclotomic(n)
-    store.put(n, poly)
-    return poly
+        return IntPoly((-1, 1))
+    rad = radical(n)
+    if rad != n:
+        return cyclotomic(rad).compose_power(n // rad)
+    return _squarefree_cyclotomic(n)
 
 
 def _squarefree_cyclotomic(n: int) -> IntPoly:
@@ -296,15 +192,15 @@ def cyc_divides(s: int, p: IntPoly) -> bool:
     return not any(acc.values())
 
 
-def cyclotomic_product(indices, cache: CyclotomicCache | None = None) -> IntPoly:
+def cyclotomic_product(indices) -> IntPoly:
     """Product of the cyclotomics with the given indices."""
     poly = IntPoly.one()
     for n in sorted(indices):
-        poly = poly * cyclotomic(n, cache)
+        poly = poly * cyclotomic(n)
     return poly
 
 
-def divide_by_cyclotomics(p: IntPoly, indices, cache: CyclotomicCache | None = None):
+def divide_by_cyclotomics(p: IntPoly, indices):
     """Exact quotient of p by a product of distinct cyclotomics, or None.
 
     Divides factor by factor; distinct cyclotomics are coprime, so the
@@ -316,7 +212,7 @@ def divide_by_cyclotomics(p: IntPoly, indices, cache: CyclotomicCache | None = N
         raise ValueError("cyclotomic indices must be distinct")
     quot = p
     for n in sorted(indices, reverse=True):
-        quot = divide_exact(quot, cyclotomic(n, cache))
+        quot = divide_exact(quot, cyclotomic(n))
         if quot is None:
             return None
     return quot

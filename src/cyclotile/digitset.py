@@ -17,8 +17,8 @@ class DigitSet:
     def __post_init__(self) -> None:
         if not isinstance(self.base, int) or self.base < 2:
             raise InvalidDigitSet(f"base must be an integer >= 2, got {self.base!r}")
+        mask_polynomial(self.digits)  # validates distinct non-negative integers
         ordered = tuple(sorted(self.digits))
-        mask_polynomial(ordered)  # validates distinct non-negative integers
         if not ordered:
             raise InvalidDigitSet("digit set is empty")
         object.__setattr__(self, "digits", ordered)
@@ -26,6 +26,14 @@ class DigitSet:
     @classmethod
     def of(cls, base: int, digits) -> "DigitSet":
         return cls(base, tuple(digits))
+
+    @classmethod
+    def for_tiling(cls, base: int, digits) -> "DigitSet":
+        """The input of the tile decision: base-many digits, 0 among them, gcd 1."""
+        ds = cls.of(base, digits)
+        ds.require_cardinality()
+        ds.require_normalized()
+        return ds
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -159,22 +159,6 @@ class IntPoly:
             out[e % n] += c
         return IntPoly(tuple(out))
 
-    # -- serialization -------------------------------------------------------
-
-    def to_pair_string(self) -> str:
-        """Sparse text form: 'exp:coeff' pairs ascending, space separated."""
-        return " ".join(f"{e}:{c}" for e, c in self.terms())
-
-    @classmethod
-    def from_pair_string(cls, text: str) -> "IntPoly":
-        terms = []
-        for item in text.split():
-            e, _, c = item.partition(":")
-            if not _:
-                raise ValueError(f"malformed term {item!r}")
-            terms.append((int(e), int(c)))
-        return cls.from_terms(terms)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

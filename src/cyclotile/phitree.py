@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 from .cyclo import (
-    cyc_divides,
     cyclotomic_product,
     divide_by_cyclotomics,
     divisors,
@@ -31,9 +30,9 @@ from .cyclo import (
     expand_times,
 )
 from .digitset import DigitSet
-from .errors import CertificateError, InvalidBlocking, NotInTree
+from .errors import CertificateError, CyclotileError, InvalidBlocking, NotInTree
 from .intpoly import IntPoly
-from .spectra import SpectrumReport, spectrum_report
+from .spectra import MaskContext, SpectrumReport, context_report
 
 CERTIFICATE_SCHEMA = "cyclotile.certificate/1"
 
@@ -52,25 +51,10 @@ def children(e: int, b: int) -> tuple[int, ...]:
     return tuple(sorted(expand_indices(e, b)))
 
 
-class _Divides:
-    """Memoized cyclotomic divisibility against one fixed polynomial."""
-
-    def __init__(self, p: IntPoly):
-        self.p = p
-        self.cache: dict[int, bool] = {}
-        self.calls = 0
-
-    def __call__(self, e: int) -> bool:
-        hit = self.cache.get(e)
-        if hit is None:
-            self.calls += 1
-            hit = self.cache[e] = cyc_divides(e, self.p)
-        return hit
-
-
 @dataclass
 class SearchStats:
     nodes: int = 0
+    # distinct divisibility tests the search added to the mask context
     divisions: int = 0
     max_depth: int = 0
     pruned: int = 0
@@ -93,20 +77,21 @@ def blocking_search(p: IntPoly, b: int):
     only base-cardinality masks; the absolute-continuity oracle relies on
     that.
     """
-    if p.is_zero:
-        raise ValueError("search against the zero polynomial")
-    deg = p.degree
-    divides = _Divides(p)
+    return _search(MaskContext(p), b)
+
+
+def _search(ctx: MaskContext, b: int):
+    start = ctx.tests
     stats = SearchStats()
     trace = SearchTrace()
 
     def walk(e: int, depth: int) -> frozenset | None:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        if divides(e):
+        if ctx.divides(e):
             trace.status[e] = "hit"
             return frozenset((e,))
-        if euler_phi(e) > deg:
+        if euler_phi(e) > ctx.degree:
             trace.status[e] = "pruned"
             stats.pruned += 1
             return None
@@ -120,15 +105,18 @@ def blocking_search(p: IntPoly, b: int):
             hit |= got
         return frozenset(hit)
 
-    blocking: set[int] = set()
+    blocking: frozenset | None = frozenset()
     for d in root_indices(b):
         got = walk(d, 0)
         if got is None:
-            stats.divisions = divides.calls
-            return None, stats, trace
+            blocking = None
+            break
         blocking |= got
-    stats.divisions = divides.calls
-    return frozenset(blocking), stats, trace
+    stats.divisions = ctx.tests - start
+    # walk refers to itself; unbinding it frees the context (and its memo)
+    # now instead of at the next cycle collection.
+    del walk
+    return blocking, stats, trace
 
 
 @dataclass(frozen=True)
@@ -266,10 +254,8 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
     all divide; members of a blocking are coprime cyclotomics, so member
     divisibility already gives kernel divisibility.
     """
-    ds = _checked_digit_set(base, digits)
-    p = ds.mask()
-    divides = _Divides(p)
-    first, _, _ = blocking_search(p, base)
+    ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
+    first, _, _ = _search(ctx, base)
     if first is None:
         return []
     start = Blocking(base, tuple(sorted(first)))
@@ -280,7 +266,7 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
         current = queue.pop(0)
         for d in current.indices:
             cs = children(d, base)
-            if all(divides(c) for c in cs):
+            if all(ctx.divides(c) for c in cs):
                 refined = refine_blocking(current, d)
                 if refined.indices not in seen:
                     seen.add(refined.indices)
@@ -301,15 +287,15 @@ class P1Report:
     failing: int | None
 
 
-def _full_divisibility_exponent(t: int, base: int, deg: int, divides) -> int | None:
+def _full_divisibility_exponent(t: int, base: int, ctx: MaskContext) -> int | None:
     """Smallest j such that every factor index of the t-th cyclotomic in
     x**(base**j) divides, or None.  Degree of the substituted polynomial is
     euler_phi(t) * base**j, which bounds the search."""
     phi_t = euler_phi(t)
     j = 0
     current: frozenset[int] = frozenset((t,))
-    while phi_t * base**j <= deg:
-        if all(divides(e) for e in current):
+    while phi_t * base**j <= ctx.degree:
+        if all(ctx.divides(e) for e in current):
             return j
         current = expand_times(current, base, 1)
         j += 1
@@ -319,13 +305,11 @@ def _full_divisibility_exponent(t: int, base: int, deg: int, divides) -> int | N
 def check_p1(base: int, digits) -> P1Report:
     """First-order condition: every root divisor has a substitution power
     whose full cyclotomic expansion divides the mask."""
-    ds = _checked_digit_set(base, digits)
-    p = ds.mask()
-    divides = _Divides(p)
+    ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
     witnesses: dict[int, int] = {}
     failing = None
     for d in root_indices(base):
-        j = _full_divisibility_exponent(d, base, p.degree, divides)
+        j = _full_divisibility_exponent(d, base, ctx)
         if j is None:
             failing = d
             break
@@ -342,24 +326,24 @@ def pk_order(base: int, digits) -> int | None:
     at that power.  Indices strictly grow into territory where no factor
     can divide, so the recursion bottoms out.
     """
-    ds = _checked_digit_set(base, digits)
-    p = ds.mask()
-    deg = p.degree
-    divides = _Divides(p)
+    return _order(MaskContext(DigitSet.for_tiling(base, digits).mask()), base)
+
+
+def _order(ctx: MaskContext, base: int) -> int | None:
     memo: dict[int, int | None] = {}
 
     def order(t: int) -> int | None:
         if t in memo:
             return memo[t]
-        if _full_divisibility_exponent(t, base, deg, divides) is not None:
+        if _full_divisibility_exponent(t, base, ctx) is not None:
             memo[t] = 1
             return 1
         current: frozenset[int] = frozenset((t,))
         while True:
             current = expand_times(current, base, 1)
-            if any(divides(e) for e in current):
+            if any(ctx.divides(e) for e in current):
                 break
-            if min(euler_phi(e) for e in current) > deg:
+            if min(euler_phi(e) for e in current) > ctx.degree:
                 memo[t] = None
                 return None
         worst = 0
@@ -372,13 +356,15 @@ def pk_order(base: int, digits) -> int | None:
         memo[t] = 1 + worst
         return memo[t]
 
-    orders = []
+    result: int | None = 0
     for d in root_indices(base):
         got = order(d)
         if got is None:
-            return None
-        orders.append(got)
-    return max(orders)
+            result = None
+            break
+        result = max(result, got)
+    del order  # as in _search: frees the context without the cycle collector
+    return result
 
 
 # -- certificates ------------------------------------------------------------
@@ -402,21 +388,10 @@ class Certificate:
     def is_tile(self) -> bool:
         return self.verdict == "tile"
 
-    @property
-    def kernel_indices(self) -> tuple[int, ...] | None:
-        return self.blocking
-
     def kernel(self) -> IntPoly | None:
         if self.blocking is None:
             return None
         return cyclotomic_product(self.blocking)
-
-
-def _checked_digit_set(base: int, digits) -> DigitSet:
-    ds = DigitSet.of(base, digits)
-    ds.require_cardinality()
-    ds.require_normalized()
-    return ds
 
 
 def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) -> Certificate:
@@ -426,13 +401,11 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
     including 0 and digit gcd 1; anything else raises instead of guessing a
     normalization.
     """
-    ds = _checked_digit_set(base, digits)
-    p = ds.mask()
-    blocking, stats, trace = blocking_search(p, base)
-    report = spectrum_report(base, ds.digits, cap=spectrum_cap)
-    order = None
-    if blocking is not None:
-        order = pk_order(base, ds.digits)
+    ds = DigitSet.for_tiling(base, digits)
+    ctx = MaskContext(ds.mask())
+    blocking, stats, trace = _search(ctx, base)
+    report = context_report(ctx, base, spectrum_cap)
+    order = _order(ctx, base) if blocking is not None else None
     return Certificate(
         base=base,
         digits=ds.digits,
@@ -485,12 +458,22 @@ def certificate_to_json(cert: Certificate, indent: int | None = None) -> str:
     return json.dumps(payload, indent=indent)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
 def certificate_from_json(text: str, verify: bool = True) -> Certificate:
     """Parse a serialized certificate, re-verifying it rather than trusting it.
 
-    Verification rebuilds the kernel from the blocking indices and divides
-    the mask by it exactly; a tile certificate that fails either step raises
-    CertificateError.
+    Field types are always checked.  Verification re-checks the verdict: a
+    tile certificate's blocking must be a blocking whose kernel divides the
+    mask exactly, the blocking search must find no blocking for a not-tile
+    certificate, and pk_order must equal its recomputed value (null for
+    not-tile).  Anything that fails raises CertificateError.
     """
     try:
         payload = json.loads(text)
@@ -500,38 +483,63 @@ def certificate_from_json(text: str, verify: bool = True) -> Certificate:
         raise CertificateError("missing or unsupported certificate schema")
     try:
         base = payload["base"]
-        digits = tuple(payload["digits"])
+        digits = payload["digits"]
         verdict = payload["verdict"]
         blocking = payload["blocking"]
     except KeyError as exc:
         raise CertificateError(f"missing field {exc}") from exc
+    order = payload.get("pk_order")
+    labels = payload.get("protasov_blocking")
+    if not _is_int(base) or base < 2:
+        raise CertificateError(f"base must be an integer >= 2, got {base!r}")
+    if not _is_int_list(digits):
+        raise CertificateError(f"digits must be a list of integers, got {digits!r}")
+    if blocking is not None and not _is_int_list(blocking):
+        raise CertificateError(f"blocking must be null or a list of integers, got {blocking!r}")
+    if order is not None and not _is_int(order):
+        raise CertificateError(f"pk_order must be null or an integer, got {order!r}")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(v, str) for v in labels)
+    ):
+        raise CertificateError("protasov_blocking must be null or a list of strings")
     if verdict not in ("tile", "not-tile"):
         raise CertificateError(f"unknown verdict {verdict!r}")
+    try:
+        ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
+    except CyclotileError as exc:
+        raise CertificateError(f"invalid digit set: {exc}") from exc
     if verify:
-        ds = DigitSet.of(base, digits)
-        if verdict == "tile":
-            if blocking is None:
-                raise CertificateError("tile verdict without a blocking")
-            try:
-                blk = Blocking.checked(base, blocking)
-            except InvalidBlocking as exc:
-                raise CertificateError(f"invalid blocking: {exc}") from exc
-            if not blk.divides(ds.mask()):
-                raise CertificateError("kernel does not divide the digit mask")
-    report = spectrum_report(base, digits)
+        _verify_verdict(ctx, base, verdict, blocking, order)
     return Certificate(
         base=base,
         digits=tuple(digits),
         verdict=verdict,
         blocking=tuple(blocking) if blocking is not None else None,
-        order=payload.get("pk_order"),
-        report=report,
-        protasov_blocking=(
-            tuple(payload["protasov_blocking"])
-            if payload.get("protasov_blocking") is not None
-            else None
-        ),
+        order=order,
+        report=context_report(ctx, base),
+        protasov_blocking=tuple(labels) if labels is not None else None,
     )
+
+
+def _verify_verdict(ctx: MaskContext, base: int, verdict: str, blocking, order) -> None:
+    if verdict == "tile":
+        if blocking is None:
+            raise CertificateError("tile verdict without a blocking")
+        try:
+            blk = Blocking.checked(base, blocking)
+        except InvalidBlocking as exc:
+            raise CertificateError(f"invalid blocking: {exc}") from exc
+        if not blk.divides(ctx.poly):
+            raise CertificateError("kernel does not divide the digit mask")
+        expected = _order(ctx, base)
+    else:
+        if blocking is not None:
+            raise CertificateError("not-tile verdict with a blocking")
+        if _search(ctx, base)[0] is not None:
+            raise CertificateError("not-tile verdict, but a dividing blocking exists")
+        expected = None
+    if order != expected:
+        raise CertificateError(f"pk_order is {order!r}, but recomputes to {expected!r}")
 
 
 def search_dot(cert: Certificate) -> str:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cyclo import cyc_divides, euler_phi
+from .cyclo import euler_phi
 from .digitset import DigitSet
 from .errors import NotInTree
+from .spectra import MaskContext
 
 __all__ = [
     "Vertex",
@@ -164,26 +165,19 @@ def protasov_decide(base: int, digits, max_level: int | None = None) -> Protasov
     """
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
-    p = ds.mask()
-    deg = p.degree
+    ctx = MaskContext(ds.mask())
+    deg = ctx.degree
     bound = default_level_bound(deg) if max_level is None else max_level
     stats = ProtasovStats()
-    memo: dict[int, bool] = {}
-
-    def divides(t: int) -> bool:
-        hit = memo.get(t)
-        if hit is None:
-            stats.divisions += 1
-            hit = memo[t] = cyc_divides(t, p)
-        return hit
-
     blocked: list[Vertex] = []
 
     def walk(value: int, level: int) -> int:
         stats.vertices += 1
         stats.max_level = max(stats.max_level, level)
         t = tau_index(value, level, base)
-        if divides(t):
+        hit = ctx.divides(t)
+        stats.divisions = ctx.tests
+        if hit:
             blocked.append(Vertex(level, value))
             return _OK
         if euler_phi(t) > deg:
@@ -233,26 +227,17 @@ def kenyon_check(base: int, digits, m_limit: int = 200) -> KenyonReport:
     """
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
-    p = ds.mask()
-    deg = p.degree
-    memo: dict[int, bool] = {}
-
-    def divides(t: int) -> bool:
-        hit = memo.get(t)
-        if hit is None:
-            hit = memo[t] = cyc_divides(t, p)
-        return hit
-
+    ctx = MaskContext(ds.mask())
     witnesses: dict[int, int] = {}
     for m in range(1, m_limit + 1):
         k = 1
         while True:
             power = base**k
             t = power // math.gcd(m, power)
-            if divides(t):
+            if ctx.divides(t):
                 witnesses[m] = k
                 break
-            if euler_phi(t) > deg:
+            if euler_phi(t) > ctx.degree:
                 return KenyonReport(False, witnesses, m, m_limit)
             k += 1
     return KenyonReport(True, witnesses, None, m_limit)

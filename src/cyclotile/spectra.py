@@ -23,7 +23,6 @@ from itertools import combinations
 
 from .cyclo import (
     cyc_divides,
-    euler_phi,
     factorize,
     is_prime_power,
     phi_at_one,
@@ -55,17 +54,48 @@ def prime_power_candidates(limit: int):
     yield from sorted(out)
 
 
-def prime_power_spectrum(p: IntPoly) -> tuple[int, ...]:
-    """Prime powers q > 1 whose cyclotomic divides p, ascending.
+class MaskContext:
+    """One nonzero polynomial and everything a decision asks about it.
 
-    Complete: euler_phi(q) >= q/2 for prime powers, so q <= 2 * degree(p)
-    bounds every possible divisor index.
+    Every layer of a decision asks the same question many times: does the
+    s-th cyclotomic divide the mask?  They all ask through one context, so
+    each index is tested once; `tests` counts the distinct indices tested.
+    The prime-power spectrum is computed on first use and then kept.
     """
-    if p.is_zero:
-        raise ValueError("spectrum of the zero polynomial")
-    if p.degree == 0:
-        return ()
-    return tuple(q for q in prime_power_candidates(2 * p.degree) if cyc_divides(q, p))
+
+    def __init__(self, p: IntPoly):
+        if p.is_zero:
+            raise ValueError("cannot analyse the zero polynomial")
+        self.poly = p
+        self.degree: int = p.degree
+        self.tests = 0
+        self._divides: dict[int, bool] = {}
+        self._prime_powers: tuple[int, ...] | None = None
+
+    def divides(self, s: int) -> bool:
+        hit = self._divides.get(s)
+        if hit is None:
+            self.tests += 1
+            hit = self._divides[s] = cyc_divides(s, self.poly)
+        return hit
+
+    @property
+    def prime_powers(self) -> tuple[int, ...]:
+        """Prime powers q > 1 whose cyclotomic divides the polynomial, ascending.
+
+        Complete: euler_phi(q) >= q/2 for prime powers, so q <= 2 * degree
+        bounds every possible divisor index.
+        """
+        if self._prime_powers is None:
+            self._prime_powers = tuple(
+                q for q in prime_power_candidates(2 * self.degree) if self.divides(q)
+            )
+        return self._prime_powers
+
+
+def prime_power_spectrum(p: IntPoly) -> tuple[int, ...]:
+    """Prime powers q > 1 whose cyclotomic divides p, ascending."""
+    return MaskContext(p).prime_powers
 
 
 @dataclass(frozen=True)
@@ -87,22 +117,20 @@ def general_spectrum(p: IntPoly, cap: int) -> GeneralSpectrum:
     The result is certified complete when cap reaches the threshold beyond
     which every index has totient above degree(p).
     """
-    if p.is_zero:
-        raise ValueError("spectrum of the zero polynomial")
-    deg = p.degree
+    return _general_spectrum(MaskContext(p), cap)
+
+
+def _general_spectrum(ctx: MaskContext, cap: int) -> GeneralSpectrum:
+    deg = ctx.degree
     threshold = completeness_threshold(deg) if deg > 0 else 1
     top = min(cap, threshold)
-    found = []
     if top <= _EXACT_THRESHOLD_SIEVE_LIMIT:
         phi = phi_table(max(top, 1))
         candidates = (s for s in range(2, top + 1) if phi[s] <= deg)
     else:
-        candidates = (s for s in range(2, top + 1))
-    for s in candidates:
-        if cyc_divides(s, p):
-            found.append(s)
+        candidates = range(2, top + 1)
     return GeneralSpectrum(
-        indices=tuple(found),
+        indices=tuple(s for s in candidates if ctx.divides(s)),
         cap=cap,
         threshold=threshold,
         complete=cap >= threshold,
@@ -112,13 +140,14 @@ def general_spectrum(p: IntPoly, cap: int) -> GeneralSpectrum:
 def check_t1(digits) -> bool:
     """Digit count equals the product over the prime-power spectrum of the
     cyclotomic values at 1."""
-    p = mask_polynomial(digits)
-    if p.is_zero:
-        raise ValueError("empty digit set")
+    return _t1(MaskContext(mask_polynomial(digits)))
+
+
+def _t1(ctx: MaskContext) -> bool:
     prod = 1
-    for q in prime_power_spectrum(p):
+    for q in ctx.prime_powers:
         prod *= phi_at_one(q)
-    return prod == p.at_one()
+    return prod == ctx.poly.at_one()
 
 
 def check_t2(digits) -> bool:
@@ -126,11 +155,12 @@ def check_t2(digits) -> bool:
 
     Vacuously true when the spectrum touches fewer than two primes.
     """
-    p = mask_polynomial(digits)
-    if p.is_zero:
-        raise ValueError("empty digit set")
+    return _t2(MaskContext(mask_polynomial(digits)))
+
+
+def _t2(ctx: MaskContext) -> bool:
     by_prime: dict[int, list[int]] = {}
-    for q in prime_power_spectrum(p):
+    for q in ctx.prime_powers:
         base = is_prime_power(q)[0]
         by_prime.setdefault(base, []).append(q)
     primes = sorted(by_prime)
@@ -140,7 +170,7 @@ def check_t2(digits) -> bool:
             while stack:
                 i, prod = stack.pop()
                 if i == len(chosen):
-                    if not cyc_divides(prod, p):
+                    if not ctx.divides(prod):
                         return False
                     continue
                 for q in by_prime[chosen[i]]:
@@ -166,7 +196,10 @@ def spectrum_structure(base: int, digits) -> StructureReport:
     """
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
-    spectrum = prime_power_spectrum(ds.mask())
+    return _structure(base, MaskContext(ds.mask()).prime_powers)
+
+
+def _structure(base: int, spectrum: tuple[int, ...]) -> StructureReport:
     base_factors = dict(factorize(base))
     exps: dict[int, list[int]] = {p: [] for p in base_factors}
     violation = None
@@ -215,17 +248,18 @@ def spectrum_report(base: int, digits, cap: int | None = None) -> SpectrumReport
     the report's complete flag records which situation applies.
     """
     ds = DigitSet.of(base, digits)
-    p = ds.mask()
+    return context_report(MaskContext(ds.mask()), base, cap)
+
+
+def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> SpectrumReport:
+    """spectrum_report on an existing context; the digit count is P(1)."""
     if cap is None:
-        deg = p.degree or 1
+        deg = ctx.degree or 1
         cap = min(completeness_threshold(deg), max(100, 4 * deg))
-    structure = None
-    if len(ds) == base:
-        structure = spectrum_structure(base, digits)
     return SpectrumReport(
-        prime_powers=prime_power_spectrum(p),
-        general=general_spectrum(p, cap),
-        t1=check_t1(digits),
-        t2=check_t2(digits),
-        structure=structure,
+        prime_powers=ctx.prime_powers,
+        general=_general_spectrum(ctx, cap),
+        t1=_t1(ctx),
+        t2=_t2(ctx),
+        structure=_structure(base, ctx.prime_powers) if ctx.poly.at_one() == base else None,
     )

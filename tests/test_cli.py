@@ -192,28 +192,3 @@ def test_oracle_json(capsys):
     assert payload["collision_level"] is None
     assert payload["continuity"] == {"accepted": True, "blocking": [2, 16]}
 
-
-def test_cache_roundtrip(tmp_path, capsys):
-    path = tmp_path / "cyclo.cache"
-    code, out, _ = run(capsys, "cache", "--cache", str(path), "--warm", "30")
-    assert code == 0
-    assert "cached cyclotomics" in out
-    text = path.read_text()
-    assert text.startswith("cyclotile-cyclotomic-cache v1")
-    assert len(text.splitlines()) >= 31
-    code, out, _ = run(capsys, "cache", "--cache", str(path))
-    assert code == 0 and "cached cyclotomics" in out
-
-
-def test_cache_needs_path(capsys):
-    code, _, err = run(capsys, "cache")
-    assert code == 2 and "error:" in err
-
-
-def test_analyze_with_cache_file(tmp_path, capsys):
-    path = tmp_path / "cyclo.cache"
-    code, _, _ = run(
-        capsys, "analyze", "--base", "4", "--digits", "0,1,8,9", "--cache", str(path)
-    )
-    assert code == 0
-    assert path.exists()

@@ -3,7 +3,6 @@ import math
 import random
 
 from cyclotile.cyclo import (
-    CyclotomicCache,
     cyc_divides,
     cyclotomic,
     cyclotomic_product,
@@ -209,40 +208,3 @@ def test_phi_table_and_monotone_bound():
     assert phi_monotone_bound(9) == 30
     assert phi_monotone_bound(1) == 2
     assert phi_monotone_bound(5) == 12
-
-
-def test_cache_roundtrip(tmp_path):
-    cache = CyclotomicCache()
-    for n in (1, 2, 6, 12, 16, 48):
-        cyclotomic(n, cache)
-    path = tmp_path / "cyclo.cache"
-    wrote = cache.save(path)
-    assert wrote == len(cache) == 6
-
-    fresh = CyclotomicCache()
-    accepted = fresh.load(path)
-    assert accepted == 6
-    assert fresh.get(12) == cyclotomic(12)
-
-
-def test_cache_rejects_corrupt_entries(tmp_path):
-    cache = CyclotomicCache()
-    for n in (2, 3, 4):
-        cyclotomic(n, cache)
-    path = tmp_path / "cyclo.cache"
-    cache.save(path)
-    lines = path.read_text().splitlines()
-    lines.append("5 0:7 1:1")        # wrong degree for index 5
-    lines.append("6 0:1 1:1 2:1")    # right degree, wrong polynomial
-    lines.append("not a line at all")
-    path.write_text("\n".join(lines) + "\n")
-
-    fresh = CyclotomicCache()
-    accepted = fresh.load(path)
-    assert accepted == 3
-    assert fresh.get(5) is None
-    assert fresh.get(6) is None
-
-    # a file with the wrong header is ignored wholesale
-    path.write_text("something-else v9\n2 0:1 1:1\n")
-    assert CyclotomicCache().load(path) == 0

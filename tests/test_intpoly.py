@@ -109,12 +109,6 @@ def test_divide_rejects_bad_divisors():
         raise AssertionError("accepted a bad divisor")
 
 
-def test_pair_string_roundtrip():
-    p = mask_polynomial([0, 1, 8, 9])
-    assert p.to_pair_string() == "0:1 1:1 8:1 9:1"
-    assert IntPoly.from_pair_string(p.to_pair_string()) == p
-    assert IntPoly.from_pair_string("") == IntPoly.zero()
-    assert IntPoly.zero().to_pair_string() == ""
 
 
 def test_evaluation():

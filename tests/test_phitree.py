@@ -1,11 +1,17 @@
 """Tree structure, blocking search, kernels, and certificates."""
 
+import hashlib
+import itertools
 import json
+import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from cyclotile.cyclo import cyclotomic, cyclotomic_product, euler_phi
+from cyclotile import phitree, spectra
+from cyclotile.cyclo import cyc_divides, cyclotomic, cyclotomic_product, euler_phi
 from cyclotile.errors import (
     CertificateError,
     InvalidBlocking,
@@ -32,6 +38,11 @@ from cyclotile.phitree import (
     root_indices,
     search_dot,
 )
+from cyclotile.productform import load_recipe
+
+MODULO_DIGITS = load_recipe(
+    Path(__file__).resolve().parents[1] / "recipes" / "b12_modulo.json"
+).digits
 
 
 def test_root_indices():
@@ -340,6 +351,87 @@ def test_certificate_tampering_detected():
     broken["blocking"] = [2, 4]
     got = certificate_from_json(json.dumps(broken), verify=False)
     assert got.blocking == (2, 4)
+
+
+def _tile_payload(**fields) -> str:
+    payload = json.loads(certificate_to_json(decide_tile_digit_set(4, [0, 1, 8, 9])))
+    payload.update(fields)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"verdict": "not-tile", "blocking": None, "kernel": None, "pk_order": None},
+        {"pk_order": 7},
+        {"pk_order": True},
+        {"digits": [0, 1, "8", 9]},
+        {"blocking": [2, "16"]},
+        {"digits": None},
+        {"base": "4"},
+        {"base": True},
+    ],
+    ids=[
+        "flipped-verdict",
+        "wrong-pk-order",
+        "bool-pk-order",
+        "string-digit",
+        "string-blocking-index",
+        "null-digits",
+        "string-base",
+        "bool-base",
+    ],
+)
+def test_tampered_certificate_raises_certificate_error(fields):
+    with pytest.raises(CertificateError):
+        certificate_from_json(_tile_payload(**fields))
+
+
+@pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])
+def test_decision_tests_each_index_once(monkeypatch, base, digits):
+    """One decision runs cyc_divides at most once per index and computes the
+    prime-power spectrum once, whichever layers ask."""
+    calls = Counter()
+    spectrum_runs = []
+    candidates = spectra.prime_power_candidates
+
+    def counting_divides(s, p):
+        calls[s] += 1
+        return cyc_divides(s, p)
+
+    def counting_candidates(limit):
+        spectrum_runs.append(limit)
+        return candidates(limit)
+
+    # Patch every decision module that could call cyc_divides on its own.
+    for module in (phitree, spectra):
+        monkeypatch.setattr(module, "cyc_divides", counting_divides, raising=False)
+    monkeypatch.setattr(spectra, "prime_power_candidates", counting_candidates)
+    decide_tile_digit_set(base, digits)
+    assert calls and max(calls.values()) == 1
+    assert len(spectrum_runs) == 1
+
+
+# SHA-256 of the certificates below, each serialized without indent and
+# followed by a newline.  Any change to a verdict, spectrum, order, search
+# counter or the JSON layout changes it; update it only for a deliberate
+# format change.
+CERTIFICATE_DIGEST = "5446b2d5aa1aa1f3af6ffccad6fd8c738115d304cfcc27c362a211ca6ae1b20b"
+
+
+def test_certificate_bytes_are_pinned():
+    sets = [
+        (4, (0,) + combo)
+        for combo in itertools.combinations(range(1, 21), 3)
+        if math.gcd(*combo) == 1
+    ]
+    assert len(sets) == 997
+    sets.append((12, MODULO_DIGITS))
+    digest = hashlib.sha256()
+    for base, digits in sets:
+        digest.update(certificate_to_json(decide_tile_digit_set(base, digits)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
 
 
 def test_search_dot_rendering():
