@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidDigitSet, NormalizationRequired, WrongCardinality
-from .intpoly import IntPoly, mask_polynomial
+from .intpoly import IntPoly, _sorted_mask, _validate_digits
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,7 @@ class DigitSet:
     def __post_init__(self) -> None:
         if not isinstance(self.base, int) or self.base < 2:
             raise InvalidDigitSet(f"base must be an integer >= 2, got {self.base!r}")
-        mask_polynomial(self.digits)  # validates distinct non-negative integers
-        ordered = tuple(sorted(self.digits))
+        ordered = _validate_digits(self.digits)
         if not ordered:
             raise InvalidDigitSet("digit set is empty")
         object.__setattr__(self, "digits", ordered)
@@ -45,7 +44,7 @@ class DigitSet:
         return d in self.digits
 
     def mask(self) -> IntPoly:
-        return mask_polynomial(self.digits)
+        return _sorted_mask(self.digits)
 
     def digit_gcd(self) -> int:
         return math.gcd(*self.digits) if len(self.digits) > 1 else self.digits[0]

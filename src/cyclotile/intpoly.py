@@ -1,169 +1,167 @@
-"""Exact dense integer polynomials.
+"""Exact sparse integer polynomials.
 
-Coefficients are plain Python ints stored densely by exponent with trailing
-zeros stripped, so equality is structural and all arithmetic is exact.  The
-zero polynomial has an empty coefficient tuple and its degree is None, a
-deliberate sentinel: code that would silently do arithmetic with a degree of
--1 should fail loudly instead.
+A polynomial is stored as its nonzero terms: a tuple of (exponent,
+coefficient) pairs with exponents strictly ascending and every coefficient
+a nonzero Python int.  Equality is structural and all arithmetic is exact.
+The zero polynomial has no terms and its degree is None, a deliberate
+sentinel: code that would silently do arithmetic with a degree of -1 should
+fail loudly instead.
 
-Multiplication and division walk only the nonzero terms of the smaller or
-of the divisor operand.  The polynomials this package cares about (digit
-masks, cyclotomics of smooth index) are extremely sparse, which makes both
-operations near linear in practice.
+Every operation walks only the stored terms, so its cost follows the term
+count, not the degree.  The polynomials this package cares about (digit
+masks, cyclotomics of smooth index) are extremely sparse, and a mask with
+a digit near 2**62 costs no more than one with a digit near 10.  Exact
+division is the one exception: its quotients are dense in general, so
+`divmod_exact` works on a dense list of the dividend's coefficients.  The
+positional constructor and `coeffs` are dense views for small literals and
+tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InvalidDigitSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class IntPoly:
-    """Integer polynomial; coeffs[k] is the coefficient of x**k."""
+    """Integer polynomial; IntPoly(coeffs) reads coeffs[k] as the coefficient of x**k."""
 
-    coeffs: tuple[int, ...] = ()
+    _terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
-        if c and c[-1] == 0:
-            while c and c[-1] == 0:
-                c = c[:-1]
-            object.__setattr__(self, "coeffs", c)
+    def __init__(self, coeffs=()) -> None:
+        object.__setattr__(self, "_terms", tuple((e, c) for e, c in enumerate(coeffs) if c))
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple[int, int], ...]) -> "IntPoly":
+        """Wrap terms that are already sorted, distinct and nonzero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "IntPoly":
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def one(cls) -> "IntPoly":
-        return cls((1,))
+        return cls._of(((0, 1),))
 
     @classmethod
     def x_power(cls, n: int, coeff: int = 1) -> "IntPoly":
         """coeff * x**n."""
         if n < 0:
             raise ValueError("exponent must be non-negative")
-        if coeff == 0:
-            return cls(())
-        return cls((0,) * n + (coeff,))
+        return cls._of(((n, coeff),) if coeff else ())
 
     @classmethod
     def from_terms(cls, terms) -> "IntPoly":
         """Build from (exponent, coefficient) pairs; repeats accumulate."""
-        terms = list(terms)
-        if not terms:
-            return cls(())
-        top = max(e for e, _ in terms)
-        out = [0] * (top + 1)
+        acc: dict[int, int] = {}
         for e, c in terms:
+            e = index(e)
             if e < 0:
                 raise ValueError("exponent must be non-negative")
-            out[e] += c
-        return cls(tuple(out))
+            acc[e] = acc.get(e, 0) + c
+        return cls._of(tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense coefficient tuple, trailing zeros stripped; O(degree)."""
+        if not self._terms:
+            return ()
+        out = [0] * (self._terms[-1][0] + 1)
+        for e, c in self._terms:
+            out[e] = c
+        return tuple(out)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        if not self.coeffs:
+        if not self._terms:
             return None
-        return len(self.coeffs) - 1
+        return self._terms[-1][0]
 
     @property
     def leading(self) -> int:
-        if not self.coeffs:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._terms[-1][1]
 
-    def terms(self):
+    def terms(self) -> tuple[tuple[int, int], ...]:
         """Nonzero (exponent, coefficient) pairs, ascending."""
-        return [(e, c) for e, c in enumerate(self.coeffs) if c]
+        return self._terms
 
     def coefficient(self, e: int) -> int:
-        if 0 <= e < len(self.coeffs):
-            return self.coeffs[e]
+        i = bisect_left(self._terms, (e,))
+        if i < len(self._terms) and self._terms[i][0] == e:
+            return self._terms[i][1]
         return 0
 
     def at_one(self) -> int:
         """Value at x = 1, i.e. the coefficient sum."""
-        return sum(self.coeffs)
+        return sum(c for _, c in self._terms)
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # Horner's rule over the gaps between consecutive exponents.
+        acc, top = 0, self.degree or 0
+        for e, c in reversed(self._terms):
+            acc = acc * x ** (top - e) + c
+            top = e
+        return acc * x**top
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._terms)
+
+    def __repr__(self) -> str:
+        return f"IntPoly.from_terms({list(self._terms)!r})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
+        return IntPoly.from_terms(self._terms + other._terms)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly._of(tuple((e, -c) for e, c in self._terms))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly(())
-        a, b = self, other
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
-        out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-        bc = b.coeffs
-        for e, c in a.terms():
-            for j, d in enumerate(bc):
-                if d:
-                    out[e + j] += c * d
-        return IntPoly(tuple(out))
+        return IntPoly.from_terms(
+            (e + f, c * d) for e, c in self._terms for f, d in other._terms
+        )
 
     def compose_power(self, n: int) -> "IntPoly":
         """Substitute x -> x**n.  n = 0 collapses to the value at 1."""
         if n < 0:
             raise ValueError("power must be non-negative")
         if n == 0:
-            return IntPoly((self.at_one(),))
-        if self.is_zero:
-            return self
-        out = [0] * ((len(self.coeffs) - 1) * n + 1)
-        for e, c in self.terms():
-            out[e * n] = c
-        return IntPoly(tuple(out))
+            return IntPoly.x_power(0, self.at_one())
+        return IntPoly._of(tuple((e * n, c) for e, c in self._terms))
 
     def fold_mod(self, n: int) -> "IntPoly":
         """Remainder modulo x**n - 1: exponents folded mod n."""
         if n <= 0:
             raise ValueError("fold modulus must be positive")
-        out = [0] * n
-        for e, c in self.terms():
-            out[e % n] += c
-        return IntPoly(tuple(out))
+        return IntPoly.from_terms((e % n, c) for e, c in self._terms)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for e, c in reversed(self.terms()):
+        for e, c in reversed(self._terms):
             if e == 0:
                 parts.append(f"{c:+d}")
             elif e == 1:
@@ -174,11 +172,10 @@ class IntPoly:
         return text[1:] if text.startswith("+") else text
 
 
-def mask_polynomial(digits) -> IntPoly:
-    """Sum of x**d over the digit set.
+def _validate_digits(digits) -> tuple[int, ...]:
+    """The digits in ascending order, checked distinct non-negative integers.
 
-    Digits must be distinct non-negative integers; anything else raises
-    InvalidDigitSet.  The mask of the empty set is the zero polynomial.
+    Anything else raises InvalidDigitSet.
     """
     seen = set()
     for d in digits:
@@ -189,7 +186,21 @@ def mask_polynomial(digits) -> IntPoly:
         if d in seen:
             raise InvalidDigitSet(f"digit {d} repeats")
         seen.add(d)
-    return IntPoly.from_terms((d, 1) for d in seen)
+    return tuple(sorted(seen))
+
+
+def mask_polynomial(digits) -> IntPoly:
+    """Sum of x**d over the digit set.
+
+    Digits must be distinct non-negative integers; anything else raises
+    InvalidDigitSet.  The mask of the empty set is the zero polynomial.
+    """
+    return _sorted_mask(_validate_digits(digits))
+
+
+def _sorted_mask(digits: tuple[int, ...]) -> IntPoly:
+    """Mask of digits already validated and in ascending order."""
+    return IntPoly._of(tuple((d, 1) for d in digits))
 
 
 def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -197,7 +208,9 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
 
     q must be nonzero with leading coefficient 1 or -1, which keeps every
     intermediate value an integer.  Non-monic divisors are rejected rather
-    than handled by pseudo-division.
+    than handled by pseudo-division.  The quotient is dense in general, so
+    the division runs on a dense list of p's coefficients: this is the one
+    operation whose cost grows with the degree.
     """
     if q.is_zero:
         raise ValueError("division by the zero polynomial")
@@ -205,12 +218,13 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
         raise ValueError("divisor leading coefficient must be 1 or -1")
     dq = q.degree
     if p.is_zero or p.degree < dq:
-        return IntPoly(()), p
+        return IntPoly.zero(), p
     lead = q.leading
-    # Sparse view of the divisor below its leading term.
-    low = [(e, c) for e, c in enumerate(q.coeffs[:-1]) if c]
-    rem = list(p.coeffs)
+    low = q.terms()[:-1]  # the divisor below its leading term
     dp = p.degree
+    rem = [0] * (dp + 1)
+    for e, c in p.terms():
+        rem[e] = c
     quot = [0] * (dp - dq + 1)
     for i in range(dp, dq - 1, -1):
         c = rem[i]
@@ -222,7 +236,7 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
             base = i - dq
             for e, qc in low:
                 rem[base + e] -= c * qc
-    return IntPoly(tuple(quot)), IntPoly(tuple(rem[:dq]))
+    return IntPoly(quot), IntPoly(rem[:dq])
 
 
 def divide_exact(p: IntPoly, q: IntPoly):

@@ -420,6 +420,24 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
 
 def certificate_to_json(cert: Certificate, indent: int | None = None) -> str:
     """Serialize with a fixed field order and version tag."""
+    return json.dumps(_payload(cert), indent=indent)
+
+
+# Fields that follow from the base and digits alone; a loaded certificate
+# must carry exactly the values that recomputing them gives.
+_DERIVED_FIELDS = (
+    "kernel",
+    "prime_power_spectrum",
+    "t1",
+    "t2",
+    "thm42",
+    "thm42_pass",
+    "thm42_violation",
+    "general_spectrum",
+)
+
+
+def _payload(cert: Certificate) -> dict:
     structure = cert.report.structure
     payload: dict = {
         "schema": CERTIFICATE_SCHEMA,
@@ -455,7 +473,7 @@ def certificate_to_json(cert: Certificate, indent: int | None = None) -> str:
         }
     if cert.protasov_blocking is not None:
         payload["protasov_blocking"] = list(cert.protasov_blocking)
-    return json.dumps(payload, indent=indent)
+    return payload
 
 
 def _is_int(value) -> bool:
@@ -469,11 +487,14 @@ def _is_int_list(value) -> bool:
 def certificate_from_json(text: str, verify: bool = True) -> Certificate:
     """Parse a serialized certificate, re-verifying it rather than trusting it.
 
-    Field types are always checked.  Verification re-checks the verdict: a
+    Field types are always checked, and the report is recomputed with the
+    payload's general-spectrum cap.  Verification re-checks the verdict: a
     tile certificate's blocking must be a blocking whose kernel divides the
     mask exactly, the blocking search must find no blocking for a not-tile
     certificate, and pk_order must equal its recomputed value (null for
-    not-tile).  Anything that fails raises CertificateError.
+    not-tile).  It then requires every derived field (kernel, spectra, t1,
+    t2 and the structure fields) to equal its recomputed value.  Anything
+    that fails raises CertificateError.
     """
     try:
         payload = json.loads(text)
@@ -486,6 +507,7 @@ def certificate_from_json(text: str, verify: bool = True) -> Certificate:
         digits = payload["digits"]
         verdict = payload["verdict"]
         blocking = payload["blocking"]
+        spectrum = payload["general_spectrum"]
     except KeyError as exc:
         raise CertificateError(f"missing field {exc}") from exc
     order = payload.get("pk_order")
@@ -502,6 +524,8 @@ def certificate_from_json(text: str, verify: bool = True) -> Certificate:
         isinstance(labels, list) and all(isinstance(v, str) for v in labels)
     ):
         raise CertificateError("protasov_blocking must be null or a list of strings")
+    if not isinstance(spectrum, dict) or not _is_int(spectrum.get("cap")):
+        raise CertificateError(f"general_spectrum needs an integer cap, got {spectrum!r}")
     if verdict not in ("tile", "not-tile"):
         raise CertificateError(f"unknown verdict {verdict!r}")
     try:
@@ -510,15 +534,32 @@ def certificate_from_json(text: str, verify: bool = True) -> Certificate:
         raise CertificateError(f"invalid digit set: {exc}") from exc
     if verify:
         _verify_verdict(ctx, base, verdict, blocking, order)
-    return Certificate(
+    cert = Certificate(
         base=base,
         digits=tuple(digits),
         verdict=verdict,
         blocking=tuple(blocking) if blocking is not None else None,
         order=order,
-        report=context_report(ctx, base),
+        report=context_report(ctx, base, spectrum["cap"]),
         protasov_blocking=tuple(labels) if labels is not None else None,
     )
+    if verify:
+        _verify_derived(payload, _payload(cert))
+    return cert
+
+
+def _verify_derived(payload: dict, expected: dict) -> None:
+    for key in _DERIVED_FIELDS:
+        if key not in payload:
+            raise CertificateError(f"missing field {key!r}")
+
+    # Compared as JSON text, so that true and 1, or 2 and 2.0, differ.
+    def text(fields: dict, keys) -> str:
+        return json.dumps([fields[key] for key in keys], sort_keys=True)
+
+    if text(payload, _DERIVED_FIELDS) != text(expected, _DERIVED_FIELDS):
+        key = next(k for k in _DERIVED_FIELDS if text(payload, [k]) != text(expected, [k]))
+        raise CertificateError(f"{key} is {payload[key]!r}, but recomputes to {expected[key]!r}")
 
 
 def _verify_verdict(ctx: MaskContext, base: int, verdict: str, blocking, order) -> None:

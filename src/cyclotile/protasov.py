@@ -203,10 +203,12 @@ def protasov_decide(base: int, digits, max_level: int | None = None) -> Protasov
         return ProtasovResult("inconclusive", base, None, stats)
 
     # Close under fibers: vertices sharing an index stand or fall together,
-    # so the certificate lists whole fibers, never representatives.
-    closure = set(blocked)
-    for v in blocked:
-        closure.update(fiber(base, v.level, tau_index(v.value, v.level, base)))
+    # so the certificate lists whole fibers, never representatives.  Each
+    # blocked vertex lies in its own fiber, and many share one, so each
+    # distinct fiber is closed once.
+    closure: set[Vertex] = set()
+    for level, t in {(v.level, tau_index(v.value, v.level, base)) for v in blocked}:
+        closure.update(fiber(base, level, t))
     return ProtasovResult("blocking", base, tuple(sorted(closure)), stats)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -112,6 +114,33 @@ def test_construct_second_order_fixture(capsys):
     assert code == 0
     assert "order    2" in out
     assert "verdict  tile" in out
+
+
+RECIPES = Path(__file__).resolve().parents[1] / "recipes"
+
+# SHA-256 of `construct --recipe R --format json --cross-check` stdout.  The
+# cross-check writes the residue-tree blocking into the certificate, so this
+# pins both routes' output; update it only for a deliberate format change.
+CROSS_CHECK_DIGESTS = {
+    "b12_first_order_variant": "f9e0649dd9355562d35ba078f9a6be3824faecc3552ad92eabfcdaf1369e7559",
+    "b12_modulo": "94660fc95029b299d085e2870be8bfc93e44b732be3a695b6c5d2286d549e391",
+    "b12_second_order": "5db760388c72c89dac7febe756aa892af7c1360cc15889ae51ac885785be4830",
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(CROSS_CHECK_DIGESTS))
+def test_construct_cross_check_bytes_are_pinned(capsys, recipe):
+    code, out, err = run(
+        capsys,
+        "construct",
+        "--recipe",
+        str(RECIPES / f"{recipe}.json"),
+        "--format",
+        "json",
+        "--cross-check",
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CROSS_CHECK_DIGESTS[recipe]
 
 
 def test_construct_missing_file(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from cyclotile.errors import InvalidDigitSet
 from cyclotile.intpoly import IntPoly, divide_exact, divmod_exact, mask_polynomial
@@ -109,10 +110,138 @@ def test_divide_rejects_bad_divisors():
         raise AssertionError("accepted a bad divisor")
 
 
-
-
 def test_evaluation():
     p = IntPoly((-1, 0, 1))
     assert p(3) == 8
     assert p.at_one() == 0
     assert p(-1) == 0
+
+
+def test_sparse_storage_is_canonical():
+    p = IntPoly.from_terms([(9, 1), (0, 1), (8, 2), (8, -1), (1, 1), (5, 0)])
+    assert p.terms() == ((0, 1), (1, 1), (8, 1), (9, 1))
+    assert p == mask_polynomial([0, 1, 8, 9]) == IntPoly((1, 1, 0, 0, 0, 0, 0, 0, 1, 1))
+    assert hash(p) == hash(mask_polynomial([9, 8, 1, 0]))
+    assert p.coefficient(8) == 1 and p.coefficient(5) == 0 and p.coefficient(99) == 0
+    assert eval(repr(p), {"IntPoly": IntPoly}) == p
+    assert IntPoly.x_power(3, 0).is_zero
+    try:
+        p.coeffs = ()
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("IntPoly accepted an attribute assignment")
+
+
+# -- dense reference: a coefficient list, index = exponent, no trailing zeros --
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _dense_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _dense_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _trim(out)
+
+
+def _dense_compose(a, n):
+    if n == 0:
+        return _trim([sum(a)])
+    if not a:
+        return []
+    out = [0] * ((len(a) - 1) * n + 1)
+    for i, c in enumerate(a):
+        out[i * n] = c
+    return out
+
+
+def _dense_fold(a, n):
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i % n] += c
+    return _trim(out)
+
+
+def _dense_divmod(a, q):
+    # Long division by a monic or -monic q, highest coefficient first.
+    rem = list(a)
+    dq = len(q) - 1
+    quot = [0] * max(len(a) - dq, 0)
+    for i in range(len(a) - 1, dq - 1, -1):
+        c = rem[i] * q[-1]  # q[-1] is 1 or -1, its own inverse
+        quot[i - dq] = c
+        for j, d in enumerate(q):
+            rem[i - dq + j] -= c * d
+    return _trim(quot), _trim(rem[:dq])
+
+
+def _random_dense(rng, top, density):
+    return _trim(rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(top))
+
+
+def test_differential_against_dense_reference():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        a = _random_dense(rng, rng.randint(0, 40), rng.choice((0.1, 0.5, 1.0)))
+        b = _random_dense(rng, rng.randint(0, 40), rng.choice((0.1, 0.5, 1.0)))
+        pa, pb = IntPoly(a), IntPoly(b)
+        assert pa.coeffs == tuple(a) and pa.degree == (len(a) - 1 if a else None)
+        assert pa.terms() == tuple((e, c) for e, c in enumerate(a) if c)
+        assert IntPoly.from_terms(pa.terms()) == pa
+        assert (pa + pb).coeffs == tuple(_dense_add(a, b))
+        assert (pa - pb).coeffs == tuple(_dense_add(a, [-c for c in b]))
+        assert (pa * pb).coeffs == tuple(_dense_mul(a, b))
+        n = rng.randint(0, 5)
+        assert pa.compose_power(n).coeffs == tuple(_dense_compose(a, n))
+        m = rng.randint(1, 12)
+        assert pa.fold_mod(m).coeffs == tuple(_dense_fold(a, m))
+        assert pa.at_one() == sum(a)
+        x = rng.randint(-4, 4)
+        assert pa(x) == sum(c * x**i for i, c in enumerate(a))
+        assert (pa == pb) == (a == b)
+        assert (pa == IntPoly(list(a) + [0, 0])) and hash(pa) == hash(IntPoly(tuple(a)))
+        q = _random_dense(rng, rng.randint(0, 8), 0.5) + [rng.choice((1, -1))]
+        got_q, got_r = divmod_exact(pa, IntPoly(q))
+        want_q, want_r = _dense_divmod(a, q)
+        assert got_q.coeffs == tuple(want_q) and got_r.coeffs == tuple(want_r)
+
+
+def test_lacunary_operations_do_not_allocate_by_degree():
+    top = 2**62
+    tracemalloc.start()
+    try:
+        p = mask_polynomial((0, 1, top))
+        q = p.compose_power(2**40)
+        folded = p.fold_mod(12)
+        terms = q.terms()
+        both = p * p + q - p
+        assert p.degree == top and p.at_one() == 3 and p.coefficient(top) == 1
+        assert p(1) == 3 and p(0) == 1 and p(-1) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"peak {peak} bytes for three-term polynomials"
+    assert terms == ((0, 1), (2**40, 1), (2**102, 1))
+    assert folded == IntPoly.from_terms([(0, 1), (1, 1), (top % 12, 1)])
+    # (1 + x + x^T)^2 + (1 + x^(2^40) + x^(2^102)) - (1 + x + x^T), T = 2^62
+    assert both.terms() == (
+        (0, 1), (1, 1), (2, 1), (2**40, 1), (top, 1), (top + 1, 2), (2 * top, 1), (2**102, 1)
+    )

@@ -370,6 +370,14 @@ def _tile_payload(**fields) -> str:
         {"digits": None},
         {"base": "4"},
         {"base": True},
+        {"prime_power_spectrum": [3]},
+        {"t1": False},
+        {"kernel": [2, 4]},
+        {"t2": 1},
+        {"thm42_pass": False},
+        {"general_spectrum": {"indices": [2], "cap": 30, "threshold": 30, "complete": True}},
+        {"general_spectrum": {"indices": [2, 16], "cap": "30", "threshold": 30, "complete": True}},
+        {"general_spectrum": None},
     ],
     ids=[
         "flipped-verdict",
@@ -380,11 +388,30 @@ def _tile_payload(**fields) -> str:
         "null-digits",
         "string-base",
         "bool-base",
+        "wrong-prime-power-spectrum",
+        "wrong-t1",
+        "wrong-kernel",
+        "int-t2",
+        "wrong-thm42-pass",
+        "wrong-general-indices",
+        "string-cap",
+        "null-general-spectrum",
     ],
 )
 def test_tampered_certificate_raises_certificate_error(fields):
     with pytest.raises(CertificateError):
         certificate_from_json(_tile_payload(**fields))
+
+
+def test_certificate_keeps_its_spectrum_cap():
+    cert = decide_tile_digit_set(4, (0, 1, 8, 9), spectrum_cap=10)
+    text = certificate_to_json(cert)
+    back = certificate_from_json(text)
+    assert back.report.general.cap == 10
+    assert back.report.general.indices == (2,)
+    again = json.loads(certificate_to_json(back))
+    assert again["general_spectrum"] == json.loads(text)["general_spectrum"]
+    assert again["general_spectrum"]["indices"] == [2]
 
 
 @pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])

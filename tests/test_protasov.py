@@ -2,13 +2,17 @@
 
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from cyclotile import protasov
 from cyclotile.cyclo import cyc_divides, euler_phi, expand_indices
 from cyclotile.errors import NotInTree, WrongCardinality
 from cyclotile.intpoly import mask_polynomial
 from cyclotile.phitree import decide_tile_digit_set
+from cyclotile.productform import load_recipe
 from cyclotile.protasov import (
     KenyonReport,
     Vertex,
@@ -164,6 +168,28 @@ def test_blocking_closed_under_fibers():
     for v in result.blocking:
         t = tau_index(v.value, v.level, 6)
         assert set(fiber(6, v.level, t)) <= members
+
+
+MODULO_DIGITS = load_recipe(
+    Path(__file__).resolve().parents[1] / "recipes" / "b12_modulo.json"
+).digits
+
+
+@pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])
+def test_each_fiber_closed_once(monkeypatch, base, digits):
+    calls = Counter()
+
+    def counting_fiber(b, level, index):
+        calls[level, index] += 1
+        return fiber(b, level, index)
+
+    monkeypatch.setattr(protasov, "fiber", counting_fiber)
+    result = protasov_decide(base, digits)
+    keys = {(v.level, tau_index(v.value, v.level, base)) for v in result.blocking}
+    assert set(calls) == keys and set(calls.values()) == {1}
+    # The blocking is exactly the union of the fibers it touches.
+    union = {v for level, t in keys for v in fiber(base, level, t)}
+    assert result.blocking == tuple(sorted(union))
 
 
 def test_agreement_with_divisor_tree_search():
