@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .intpoly import IntPoly, divide_exact
+from .intpoly import IntPoly, divide_exact, long_divide
 
 
 @lru_cache(maxsize=None)
@@ -64,6 +64,18 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, a in factorize(n):
         out = [d * p**k for d in out for k in range(a + 1)]
     return tuple(sorted(out))
+
+
+def primorial(n: int) -> int:
+    """Product of the primes p <= n; 1 when n < 2."""
+    out = 1
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, n + 1):
+        if sieve[p]:
+            out *= p
+            for m in range(p * p, n + 1, p):
+                sieve[m] = 0
+    return out
 
 
 def is_prime_power(n: int):
@@ -171,8 +183,13 @@ def cyc_divides(s: int, p: IntPoly) -> bool:
     product carries every proper divisor's cyclotomic at least once and
     the s-th not at all, so folding the product modulo x**s - 1 to zero
     constrains precisely p's own s-th factor.  Cost scales with the term
-    count of p, not with s or the degree, which is what keeps spectrum
-    scans over thousands of candidate indices fast on sparse masks.
+    count of p times 2**(number of primes of s), not with s or the degree.
+
+    This is the exact oracle.  `spectra.MaskContext.divides` calls it only
+    for indices that pass the cheaper Mann prefilter, which can prove
+    non-divisibility from the gaps between p's exponents alone (Mann,
+    Mathematika 12, 1965; Conway and Jones, Acta Arith. 30, 1976; the
+    argument is in the `spectra` module docstring).
     """
     if p.is_zero:
         raise ValueError("divisibility test against the zero polynomial")
@@ -206,16 +223,19 @@ def divide_by_cyclotomics(p: IntPoly, indices):
     Divides factor by factor; distinct cyclotomics are coprime, so the
     product divides p exactly when each sequential division is exact.  Each
     divisor is sparse, which makes this much faster than dividing by the
-    materialized product.
+    materialized product.  All divisions run on one dense work list, which
+    becomes a polynomial once, at the end.
     """
     if len(set(indices)) != len(tuple(indices)):
         raise ValueError("cyclotomic indices must be distinct")
-    quot = p
+    work = list(p.coeffs)
     for n in sorted(indices, reverse=True):
-        quot = divide_exact(quot, cyclotomic(n))
-        if quot is None:
+        phi = cyclotomic(n)
+        quot = long_divide(work, phi)
+        if any(work[: phi.degree]):
             return None
-    return quot
+        work = quot
+    return IntPoly(work)
 
 
 @lru_cache(maxsize=64)

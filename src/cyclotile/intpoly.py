@@ -12,7 +12,8 @@ count, not the degree.  The polynomials this package cares about (digit
 masks, cyclotomics of smooth index) are extremely sparse, and a mask with
 a digit near 2**62 costs no more than one with a digit near 10.  Exact
 division is the one exception: its quotients are dense in general, so
-`divmod_exact` works on a dense list of the dividend's coefficients.  The
+`long_divide` works on a dense list of the dividend's coefficients, and a
+chain of divisions can stay on that one list.  The
 positional constructor and `coeffs` are dense views for small literals and
 tests.
 """
@@ -219,14 +220,22 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
     dq = q.degree
     if p.is_zero or p.degree < dq:
         return IntPoly.zero(), p
-    lead = q.leading
+    rem = list(p.coeffs)
+    quot = long_divide(rem, q)
+    return IntPoly(quot), IntPoly(rem[:dq])
+
+
+def long_divide(rem: list[int], q: IntPoly) -> list[int]:
+    """Divide a dense coefficient list by q in place; return the dense quotient.
+
+    q must be nonzero with leading coefficient 1 or -1 (unchecked).  On
+    return rem holds the remainder: rem[:q.degree] are its coefficients and
+    every entry above them is zero.
+    """
+    dq, lead = q.degree, q.leading
     low = q.terms()[:-1]  # the divisor below its leading term
-    dp = p.degree
-    rem = [0] * (dp + 1)
-    for e, c in p.terms():
-        rem[e] = c
-    quot = [0] * (dp - dq + 1)
-    for i in range(dp, dq - 1, -1):
+    quot = [0] * max(len(rem) - dq, 0)
+    for i in range(len(rem) - 1, dq - 1, -1):
         c = rem[i]
         if c:
             if lead == -1:
@@ -236,7 +245,7 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
             base = i - dq
             for e, qc in low:
                 rem[base + e] -= c * qc
-    return IntPoly(quot), IntPoly(rem[:dq])
+    return quot
 
 
 def divide_exact(p: IntPoly, q: IntPoly):

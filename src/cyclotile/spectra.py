@@ -5,6 +5,26 @@ cyclotomic divides P; the general spectrum collects all indices up to a cap.
 Both searches are finite because the totient of a candidate index is at
 least sqrt(index / 2), so large indices cannot divide a fixed-degree mask.
 
+Every index first meets an exact, reject-only prefilter,
+`MaskContext.may_vanish`, built on Mann's theorem (Mathematika 12, 1965;
+refined by Conway and Jones, Acta Arith. 30, 1976): when a sum of k roots
+of unity with nonzero rational coefficients vanishes and no proper subsum
+does, every ratio of two of its roots has order dividing the product of the
+primes <= k.
+
+Proof sketch.  Let P have n >= 2 terms with exponents e_i, let M be the
+product of the primes <= n, and let the s-th cyclotomic divide P, so P
+vanishes at a primitive s-th root of unity.  Group P's terms by exponent
+modulo s.  A term whose group sums to zero has a partner j in its group, so
+s divides e_j - e_i.  Any other term's group lies in a minimal vanishing
+subsum of at most n groups, which holds a partner j with s dividing
+(e_j - e_i) * M.  M is squarefree, so either way u = s / gcd(s, M) divides
+e_j - e_i.  The prefilter asks this of the first and the last term: u must
+divide some gap from the first exponent and some gap to the last.  A
+monomial has no partner and no cyclotomic factor.  An index that passes
+still goes to the exact `cyc_divides`.  The check costs O(terms) and
+factors nothing, so a lacunary mask pays for its term count, not its degree.
+
 On top of the spectra sit three checks used throughout the package:
 
 * coefficient-sum balance: the digit count equals the product of the
@@ -20,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .cyclo import (
     cyc_divides,
@@ -28,13 +49,23 @@ from .cyclo import (
     phi_at_one,
     phi_monotone_bound,
     phi_table,
+    primorial,
 )
 from .digitset import DigitSet
+from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
 
 # Exact completeness thresholds get expensive past this sieve size; beyond
 # it we fall back to the always-correct 2 * degree**2 bound.
 _EXACT_THRESHOLD_SIEVE_LIMIT = 2_000_000
+
+# Largest polynomial degree a MaskContext accepts.  The spectra sieve and
+# scan index ranges of a few times the degree (prime powers up to
+# 2 * degree, the completeness threshold's primes up to the degree, the
+# default general-spectrum cap up to 4 * degree).  At this degree a
+# three-digit `analyze` takes seconds and tens of MB; a larger mask is
+# refused with CyclotileError before any of that memory is allocated.
+MAX_MASK_DEGREE = 10**6
 
 
 def prime_power_candidates(limit: int):
@@ -60,23 +91,43 @@ class MaskContext:
     Every layer of a decision asks the same question many times: does the
     s-th cyclotomic divide the mask?  They all ask through one context, so
     each index is tested once; `tests` counts the distinct indices tested.
-    The prime-power spectrum is computed on first use and then kept.
+    An index goes to the exact `cyc_divides` only when it passes the Mann
+    prefilter `may_vanish` (see the module docstring).  The prime-power
+    spectrum is computed on first use and then kept.
     """
 
     def __init__(self, p: IntPoly):
         if p.is_zero:
             raise ValueError("cannot analyse the zero polynomial")
+        if p.degree > MAX_MASK_DEGREE:
+            raise CyclotileError(
+                f"polynomial degree {p.degree} exceeds the budget of {MAX_MASK_DEGREE}"
+            )
         self.poly = p
         self.degree: int = p.degree
         self.tests = 0
         self._divides: dict[int, bool] = {}
         self._prime_powers: tuple[int, ...] | None = None
+        exponents = [e for e, _ in p.terms()]
+        self._primorial = primorial(len(exponents))
+        self._gaps_from_first = tuple(e - exponents[0] for e in exponents[1:])
+        self._gaps_to_last = tuple(exponents[-1] - e for e in exponents[:-1])
+
+    def may_vanish(self, s: int) -> bool:
+        """Mann's necessary condition for the s-th cyclotomic to divide the polynomial.
+
+        False proves that it does not divide; True decides nothing.
+        """
+        u = s // gcd(s, self._primorial)
+        return any(d % u == 0 for d in self._gaps_from_first) and any(
+            d % u == 0 for d in self._gaps_to_last
+        )
 
     def divides(self, s: int) -> bool:
         hit = self._divides.get(s)
         if hit is None:
             self.tests += 1
-            hit = self._divides[s] = cyc_divides(s, self.poly)
+            hit = self._divides[s] = self.may_vanish(s) and cyc_divides(s, self.poly)
         return hit
 
     @property
@@ -130,7 +181,7 @@ def _general_spectrum(ctx: MaskContext, cap: int) -> GeneralSpectrum:
     else:
         candidates = range(2, top + 1)
     return GeneralSpectrum(
-        indices=tuple(s for s in candidates if ctx.divides(s)),
+        indices=tuple(s for s in candidates if ctx.may_vanish(s) and ctx.divides(s)),
         cap=cap,
         threshold=threshold,
         complete=cap >= threshold,

@@ -71,6 +71,15 @@ def test_analyze_rejects_garbage(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_analyze_refuses_mask_over_degree_budget(capsys):
+    code, out, err = run(
+        capsys, "analyze", "--base", "3", "--digits", f"0,1,{2**62}"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds the budget" in err
+
+
 def test_disagreement_exit_code(capsys, monkeypatch):
     fake = SimpleNamespace(status="absent", is_tile=False, blocking=None)
     monkeypatch.setattr(cli, "protasov_decide", lambda base, digits: fake)

@@ -15,6 +15,7 @@ from cyclotile.cyclo import (
     phi_at_one,
     phi_monotone_bound,
     phi_table,
+    primorial,
     radical,
 )
 from cyclotile.intpoly import IntPoly, divide_exact, mask_polynomial
@@ -50,6 +51,8 @@ def test_factorize_and_euler_phi():
     assert euler_phi(6912) == 2304
     assert radical(6912) == 6
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert [primorial(n) for n in range(8)] == [1, 1, 2, 6, 6, 30, 30, 210]
+    assert primorial(12) == 2310 and primorial(13) == 30030
 
 
 def test_phi_divides_phi_of_multiples():
@@ -199,6 +202,18 @@ def test_divide_by_cyclotomics():
     assert q is not None
     assert q * cyclotomic(2) * cyclotomic(16) == p
     assert divide_by_cyclotomics(p, [2, 8]) is None
+    # against one division by the materialized product
+    rng = random.Random(17)
+    for trial in range(60):
+        digits = rng.sample(range(0, 40), rng.randint(1, 8))
+        indices = rng.sample(range(1, 30), rng.randint(1, 3))
+        p = mask_polynomial(digits)
+        if trial % 2:
+            p = p * cyclotomic_product(indices)
+        assert divide_by_cyclotomics(p, indices) == divide_exact(
+            p, cyclotomic_product(indices)
+        ), (digits, indices)
+    assert divide_by_cyclotomics(IntPoly.zero(), [3, 5]) == IntPoly.zero()
 
 
 def test_phi_table_and_monotone_bound():

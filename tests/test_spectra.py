@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
 from cyclotile.cyclo import cyc_divides, cyclotomic, divide_exact, euler_phi
-from cyclotile.errors import WrongCardinality
+from cyclotile.errors import CyclotileError, WrongCardinality
 from cyclotile.intpoly import IntPoly, mask_polynomial
 from cyclotile.spectra import (
+    MAX_MASK_DEGREE,
+    MaskContext,
     check_t1,
     check_t2,
     completeness_threshold,
@@ -151,3 +155,57 @@ def test_structure_for_complete_residue_sets():
     # digit set {0..b-1} passes for every base
     for b in range(2, 16):
         assert spectrum_structure(b, range(b)).passed, b
+
+
+def _random_sparse(rng, terms, top):
+    return IntPoly.from_terms(
+        (e, rng.choice((-3, -2, -1, 1, 2, 3))) for e in rng.sample(range(top), terms)
+    )
+
+
+def test_mann_prefilter_agrees_with_exact_test():
+    """The prefilter only rejects: divides(s) equals the exact cyc_divides."""
+    rng = random.Random(41)
+    divisible = rejected = 0
+    for trial in range(400):
+        top = 24 if trial % 2 else 10**6  # dense or lacunary exponents
+        p = _random_sparse(rng, rng.randint(1, 12), top)
+        if trial % 4 < 2:
+            # plant cyclotomic factors: a sparse cofactor times Phi_m(x**c)
+            m, c = rng.randint(2, 30), rng.choice((1, 2, 3, 7, 1000))
+            p = _random_sparse(rng, rng.randint(1, 3), top) * cyclotomic(m).compose_power(c)
+        if p.is_zero:
+            continue
+        ctx = MaskContext(p)
+        for s in range(1, 91):
+            exact = cyc_divides(s, p)
+            assert ctx.divides(s) == exact, (p, s)
+            divisible += exact
+            rejected += not ctx.may_vanish(s)
+    assert divisible > 300 and rejected > 10_000
+
+
+def test_mann_prefilter_tight_cases():
+    # A minimal vanishing sum of six roots of unity whose ratios have order
+    # 15: the primes up to 6 include 5, and no exponent gap from x**3 is a
+    # multiple of 5, so a bound over fewer primes would reject s = 15.
+    p = IntPoly.from_terms([(3, 1), (6, 1), (9, 1), (12, 1), (5, -1), (10, -1)])
+    assert cyc_divides(15, p)
+    assert MaskContext(p).may_vanish(15) and MaskContext(p).divides(15)
+    assert all((e - 3) % 5 for e, _ in p.terms()[1:])
+    # Phi_q has n = q terms, just enough for the primes <= n to reach q: no
+    # gap between its exponents 0..q-1 is a multiple of q.
+    for q in (5, 7):
+        ctx = MaskContext(cyclotomic(q))
+        assert len(ctx.poly.terms()) == q
+        assert ctx.may_vanish(q) and ctx.divides(q)
+        assert not ctx.may_vanish(q * q) and not ctx.divides(q * q)
+    # A monomial has no cyclotomic factor.
+    ctx = MaskContext(IntPoly.x_power(7, -3))
+    assert not any(ctx.may_vanish(s) or ctx.divides(s) for s in range(1, 200))
+
+
+def test_mask_degree_budget():
+    assert MaskContext(mask_polynomial([0, 1, MAX_MASK_DEGREE])).degree == MAX_MASK_DEGREE
+    with pytest.raises(CyclotileError, match="budget"):
+        MaskContext(mask_polynomial([0, 1, MAX_MASK_DEGREE + 1]))
