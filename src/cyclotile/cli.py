@@ -101,13 +101,18 @@ def _cross_check(cert: Certificate) -> str | None:
     return None
 
 
-def _emit_certificate(cert: Certificate, args) -> int:
+def _emit_certificate(cert: Certificate, args, envelope: dict | None = None) -> int:
+    """Cross-check when asked, then print the certificate; JSON output goes
+    under "certificate" after the envelope's fields when one is given."""
     if args.cross_check:
         complaint = _cross_check(cert)
         if complaint is not None:
             print(f"disagreement: {complaint}", file=sys.stderr)
             return EXIT_DISAGREEMENT
-    if args.format == "json":
+    if args.format == "json" and envelope is not None:
+        certificate = json.loads(certificate_to_json(cert))
+        print(json.dumps({**envelope, "certificate": certificate}, indent=2))
+    elif args.format == "json":
         print(certificate_to_json(cert, indent=2))
     elif args.format == "dot":
         print(search_dot(cert))
@@ -125,26 +130,18 @@ def _run_analyze(args) -> int:
 def _run_construct(args) -> int:
     built = load_recipe(args.recipe)
     cert = decide_tile_digit_set(built.base, built.digits)
-    if args.format == "json":
-        if args.cross_check:
-            complaint = _cross_check(cert)
-            if complaint is not None:
-                print(f"disagreement: {complaint}", file=sys.stderr)
-                return EXIT_DISAGREEMENT
-        payload = {
-            "kind": built.kind,
-            "base": built.base,
-            "digits": list(built.digits),
-            "order": built.order,
-            "certificate": json.loads(certificate_to_json(cert)),
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_TILE if cert.is_tile else EXIT_NOT_TILE
-    head = [f"kind     {built.kind}", f"order    {built.order}"]
-    if built.trace is not None:
-        head.append(f"moduli   {_fmt_ints(built.trace.moduli)}")
-    print("\n".join(head))
-    return _emit_certificate(cert, args)
+    if args.format == "text":
+        head = [f"kind     {built.kind}", f"order    {built.order}"]
+        if built.trace is not None:
+            head.append(f"moduli   {_fmt_ints(built.trace.moduli)}")
+        print("\n".join(head))
+    envelope = {
+        "kind": built.kind,
+        "base": built.base,
+        "digits": list(built.digits),
+        "order": built.order,
+    }
+    return _emit_certificate(cert, args, envelope)
 
 
 def _run_kernels(args) -> int:

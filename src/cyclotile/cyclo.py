@@ -238,17 +238,6 @@ def divide_by_cyclotomics(p: IntPoly, indices):
     return IntPoly(work)
 
 
-@lru_cache(maxsize=64)
-def phi_table(top: int) -> tuple[int, ...]:
-    """Sieve of euler_phi values for 0..top."""
-    phi = list(range(top + 1))
-    for p in range(2, top + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, top + 1, p):
-                phi[m] -= phi[m] // p
-    return tuple(phi)
-
-
 @lru_cache(maxsize=256)
 def phi_monotone_bound(limit: int) -> int:
     """Largest s with euler_phi(s) <= limit.
@@ -256,7 +245,9 @@ def phi_monotone_bound(limit: int) -> int:
     Maximizes s = prod p**a over prime factorizations whose totient fits
     the budget.  Flooring the budget at each factor keeps feasibility exact
     (floor(d / a) >= b iff a * b <= d), and only primes with p - 1 <= limit
-    can appear, so the search touches a few thousand nodes at worst.
+    can appear.  Both the prime sieve and the search grow with the limit:
+    at limit 10**6 the search makes about 1.9 million recursive calls,
+    nearly all the time a certificate for the digits {0, 1, 10**6} takes.
     """
     if limit < 1:
         return 1

@@ -252,8 +252,11 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
 
     Starts from the first-hit blocking and refines members whose children
     all divide; members of a blocking are coprime cyclotomics, so member
-    divisibility already gives kernel divisibility.
+    divisibility already gives kernel divisibility.  limit must be at
+    least 1.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
     first, _, _ = _search(ctx, base)
     if first is None:

@@ -53,6 +53,19 @@ def _checked_part(part) -> tuple[int, ...]:
     return values
 
 
+def _checked_exponents(exponents, parts: int, error: type[Exception]) -> tuple[int, ...]:
+    """The scale exponents for `parts` parts: one per part after the first,
+    non-negative integers that never decrease.  Failures raise `error`."""
+    exponents = tuple(exponents)
+    if len(exponents) != parts - 1:
+        raise error(f"{parts} parts need {parts - 1} exponents, got {len(exponents)}")
+    if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exponents):
+        raise error("exponents must be non-negative integers")
+    if any(a > b for a, b in zip(exponents, exponents[1:])):
+        raise error("exponents must not decrease")
+    return exponents
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Parts plus the scale exponents applied to every part after the first."""
@@ -66,18 +79,10 @@ class Decomposition:
             raise InvalidDecomposition("base must be at least 2")
         parts = tuple(_checked_part(part) for part in self.parts)
         object.__setattr__(self, "parts", parts)
-        exponents = tuple(self.exponents)
-        object.__setattr__(self, "exponents", exponents)
         if not parts:
             raise InvalidDecomposition("no parts")
-        if len(exponents) != len(parts) - 1:
-            raise InvalidDecomposition(
-                f"{len(parts)} parts need {len(parts) - 1} exponents, got {len(exponents)}"
-            )
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exponents):
-            raise InvalidDecomposition("exponents must be non-negative integers")
-        if any(a > b for a, b in zip(exponents, exponents[1:])):
-            raise InvalidDecomposition("exponents must not decrease")
+        exponents = _checked_exponents(self.exponents, len(parts), InvalidDecomposition)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def stage_exponents(self) -> tuple[int, ...]:
@@ -286,15 +291,7 @@ def build_higher_order(inner: Construction, parts, exponents) -> Construction:
     sum is the new digit set, one order above the inner construction.
     """
     groups = tuple(_checked_part(part) for part in parts)
-    exps = tuple(exponents)
-    if len(exps) != len(groups) - 1:
-        raise InvalidRegrouping(
-            f"{len(groups)} groups need {len(groups) - 1} exponents, got {len(exps)}"
-        )
-    if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
-        raise InvalidRegrouping("exponents must be non-negative integers")
-    if any(a > b for a, b in zip(exps, exps[1:])):
-        raise InvalidRegrouping("exponents must not decrease")
+    exps = _checked_exponents(exponents, len(groups), InvalidRegrouping)
     plain = list(groups[0])
     for part in groups[1:]:
         try:

@@ -2,8 +2,13 @@
 
 The prime-power spectrum of a mask P collects the prime powers q > 1 whose
 cyclotomic divides P; the general spectrum collects all indices up to a cap.
-Both searches are finite because the totient of a candidate index is at
-least sqrt(index / 2), so large indices cannot divide a fixed-degree mask.
+Both read one finite candidate set, `MaskContext.candidates`: every s <= T
+of the form d * m, with d a divisor of a gap from P's first exponent and m a
+product of distinct primes <= n, the term count of P.  T, the completeness
+threshold, is the largest s with euler_phi(s) <= degree(P); the s-th
+cyclotomic has degree euler_phi(s), so nothing above T divides.  By the
+argument below, every s that divides is a candidate (d = u, m = gcd(s, M)),
+so a lacunary mask tests divisors of a few gaps, not a range of indices.
 
 Every index first meets an exact, reject-only prefilter,
 `MaskContext.may_vanish`, built on Mann's theorem (Mathematika 12, 1965;
@@ -39,50 +44,43 @@ On top of the spectra sit three checks used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
 from .cyclo import (
     cyc_divides,
+    divisors,
     factorize,
     is_prime_power,
     phi_at_one,
     phi_monotone_bound,
-    phi_table,
+    prime_factors,
     primorial,
 )
 from .digitset import DigitSet
 from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
 
-# Exact completeness thresholds get expensive past this sieve size; beyond
-# it we fall back to the always-correct 2 * degree**2 bound.
-_EXACT_THRESHOLD_SIEVE_LIMIT = 2_000_000
-
-# Largest polynomial degree a MaskContext accepts.  The spectra sieve and
-# scan index ranges of a few times the degree (prime powers up to
-# 2 * degree, the completeness threshold's primes up to the degree, the
-# default general-spectrum cap up to 4 * degree).  At this degree a
-# three-digit `analyze` takes seconds and tens of MB; a larger mask is
-# refused with CyclotileError before any of that memory is allocated.
+# Largest polynomial degree a MaskContext accepts.  What still scales with
+# the degree is the completeness threshold's search (`phi_monotone_bound`
+# sieves the primes up to the degree) and the dense exact division in
+# `phitree.Blocking.divides`.  At this degree a three-digit `analyze` takes
+# seconds; a larger mask is refused with CyclotileError before either runs.
 MAX_MASK_DEGREE = 10**6
 
 
-def prime_power_candidates(limit: int):
-    """All prime powers q with 1 < q <= limit, ascending."""
-    if limit < 2:
-        return
-    sieve = bytearray([1]) * (limit + 1)
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            for m in range(p * p, limit + 1, p):
-                sieve[m] = 0
-            q = p
-            while q <= limit:
-                out.append(q)
-                q *= p
-    yield from sorted(out)
+def _candidate_indices(gaps, primes, threshold: int) -> tuple[int, ...]:
+    """Every s in 2..threshold that is a divisor of a gap times a product of
+    distinct `primes`, ascending.  Built prime by prime, so no product above
+    the threshold is ever formed."""
+    found = {1}
+    for gap in gaps:
+        found.update(d for d in divisors(gap) if d <= threshold)
+    for p in primes:
+        found.update([s * p for s in found if s * p <= threshold])
+    found.discard(1)
+    return tuple(sorted(found))
 
 
 class MaskContext:
@@ -92,8 +90,9 @@ class MaskContext:
     s-th cyclotomic divide the mask?  They all ask through one context, so
     each index is tested once; `tests` counts the distinct indices tested.
     An index goes to the exact `cyc_divides` only when it passes the Mann
-    prefilter `may_vanish` (see the module docstring).  The prime-power
-    spectrum is computed on first use and then kept.
+    prefilter `may_vanish` (see the module docstring).  The threshold, the
+    candidates and the prime-power spectrum are computed on first use, so a
+    context that only searches never computes them.
     """
 
     def __init__(self, p: IntPoly):
@@ -107,7 +106,6 @@ class MaskContext:
         self.degree: int = p.degree
         self.tests = 0
         self._divides: dict[int, bool] = {}
-        self._prime_powers: tuple[int, ...] | None = None
         exponents = [e for e, _ in p.terms()]
         self._primorial = primorial(len(exponents))
         self._gaps_from_first = tuple(e - exponents[0] for e in exponents[1:])
@@ -130,18 +128,22 @@ class MaskContext:
             hit = self._divides[s] = self.may_vanish(s) and cyc_divides(s, self.poly)
         return hit
 
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        """Prime powers q > 1 whose cyclotomic divides the polynomial, ascending.
+    @cached_property
+    def threshold(self) -> int:
+        """No index above this can divide the polynomial; 1 for a constant."""
+        return completeness_threshold(self.degree) if self.degree > 0 else 1
 
-        Complete: euler_phi(q) >= q/2 for prime powers, so q <= 2 * degree
-        bounds every possible divisor index.
-        """
-        if self._prime_powers is None:
-            self._prime_powers = tuple(
-                q for q in prime_power_candidates(2 * self.degree) if self.divides(q)
-            )
-        return self._prime_powers
+    @cached_property
+    def candidates(self) -> tuple[int, ...]:
+        """Every index in 2..threshold that may divide, ascending (module docstring)."""
+        primes = prime_factors(self._primorial)
+        return _candidate_indices(self._gaps_from_first, primes, self.threshold)
+
+    @cached_property
+    def prime_powers(self) -> tuple[int, ...]:
+        """Prime powers q > 1 whose cyclotomic divides the polynomial, ascending:
+        the candidates that are prime powers and divide."""
+        return tuple(q for q in self.candidates if is_prime_power(q) and self.divides(q))
 
 
 def prime_power_spectrum(p: IntPoly) -> tuple[int, ...]:
@@ -172,19 +174,11 @@ def general_spectrum(p: IntPoly, cap: int) -> GeneralSpectrum:
 
 
 def _general_spectrum(ctx: MaskContext, cap: int) -> GeneralSpectrum:
-    deg = ctx.degree
-    threshold = completeness_threshold(deg) if deg > 0 else 1
-    top = min(cap, threshold)
-    if top <= _EXACT_THRESHOLD_SIEVE_LIMIT:
-        phi = phi_table(max(top, 1))
-        candidates = (s for s in range(2, top + 1) if phi[s] <= deg)
-    else:
-        candidates = range(2, top + 1)
     return GeneralSpectrum(
-        indices=tuple(s for s in candidates if ctx.may_vanish(s) and ctx.divides(s)),
+        indices=tuple(s for s in ctx.candidates if s <= cap and ctx.divides(s)),
         cap=cap,
-        threshold=threshold,
-        complete=cap >= threshold,
+        threshold=ctx.threshold,
+        complete=cap >= ctx.threshold,
     )
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import cyclotile.cli as cli
+from cyclotile import oracles
 from cyclotile.cli import main
 
 
@@ -182,6 +183,14 @@ def test_kernels_needs_a_bound(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_kernels_refuses_limit_below_one(capsys):
+    code, out, err = run(
+        capsys, "kernels", "--base", "4", "--digits", "0,1,8,9", "--limit", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "limit must be at least 1" in err
+
+
 def test_geometry_text(capsys):
     code, out, _ = run(
         capsys, "geometry", "--base", "4", "--digits", "0,1,8,9", "--depth", "1"
@@ -204,6 +213,16 @@ def test_geometry_svg(capsys):
     )
     assert code == 0
     assert out.startswith("<svg") and out.count("<rect") == 2
+
+
+@pytest.mark.parametrize("command", ["geometry", "oracle"])
+def test_depth_over_radix_budget_exits_2(monkeypatch, capsys, command):
+    monkeypatch.setattr(oracles, "MAX_RADIX_VALUES", 10)
+    code, out, err = run(
+        capsys, command, "--base", "4", "--digits", "0,1,8,9", "--depth", "2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget of 10" in err
 
 
 def test_oracle_text(capsys):

@@ -14,7 +14,6 @@ from cyclotile.cyclo import (
     factorize,
     phi_at_one,
     phi_monotone_bound,
-    phi_table,
     primorial,
     radical,
 )
@@ -216,10 +215,7 @@ def test_divide_by_cyclotomics():
     assert divide_by_cyclotomics(IntPoly.zero(), [3, 5]) == IntPoly.zero()
 
 
-def test_phi_table_and_monotone_bound():
-    table = phi_table(200)
-    for n in range(1, 201):
-        assert table[n] == euler_phi(n)
+def test_phi_monotone_bound():
     assert phi_monotone_bound(9) == 30
     assert phi_monotone_bound(1) == 2
     assert phi_monotone_bound(5) == 12

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclotile.errors import InvalidDigitSet, NormalizationRequired
+from cyclotile import oracles
+from cyclotile.errors import CyclotileError, InvalidDigitSet, NormalizationRequired
 from cyclotile.oracles import (
     ContinuityReport,
     IntervalUnion,
@@ -91,6 +92,18 @@ def test_geometry_rejects_bad_input():
         tile_intervals(4, [0, 0, 1], 1)
     with pytest.raises(InvalidDigitSet):
         tile_intervals(1, [0], 1)
+
+
+def test_radix_value_budget(monkeypatch):
+    # Lowered, so that no over-budget structure is built if the check fails.
+    monkeypatch.setattr(oracles, "MAX_RADIX_VALUES", 255)
+    assert tile_intervals(4, [0, 1, 8, 9], 3).measure == 2  # 64 values
+    assert direct_sum_diagnostic(4, [0, 1, 8, 9], 3) is None
+    for depth in (4, 10**12):  # 256 values, and a depth whose count is not built
+        with pytest.raises(CyclotileError, match="budget of 255"):
+            tile_intervals(4, [0, 1, 8, 9], depth)
+        with pytest.raises(CyclotileError, match="budget of 255"):
+            direct_sum_diagnostic(4, [0, 1, 8, 9], depth)
 
 
 def test_direct_sum_diagnostic():

@@ -244,6 +244,15 @@ def test_enumerate_dividing_blockings():
     assert all(blk.divides(mask) for blk in found)
     assert [blk.indices for blk in enumerate_dividing_blockings(4, range(4))] == [(2, 4)]
     assert enumerate_dividing_blockings(4, [0, 1, 4, 5]) == []
+    variant = (0, 1, 288, 289, 2304, 2305, 2592, 2593, 4608, 4609, 4896, 4897)
+    assert len(enumerate_dividing_blockings(12, variant, limit=2)) == 2
+    assert len(enumerate_dividing_blockings(12, variant, limit=1)) == 1
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_enumerate_dividing_blockings_refuses_limit_below_one(limit):
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        enumerate_dividing_blockings(4, [0, 1, 8, 9], limit=limit)
 
 
 def test_check_p1():
@@ -416,24 +425,24 @@ def test_certificate_keeps_its_spectrum_cap():
 
 @pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])
 def test_decision_tests_each_index_once(monkeypatch, base, digits):
-    """One decision runs cyc_divides at most once per index and computes the
-    prime-power spectrum once, whichever layers ask."""
+    """One decision runs cyc_divides at most once per index and builds the
+    spectra's candidate indices once, whichever layers ask."""
     calls = Counter()
     spectrum_runs = []
-    candidates = spectra.prime_power_candidates
+    candidates = spectra._candidate_indices
 
     def counting_divides(s, p):
         calls[s] += 1
         return cyc_divides(s, p)
 
-    def counting_candidates(limit):
-        spectrum_runs.append(limit)
-        return candidates(limit)
+    def counting_candidates(gaps, primes, threshold):
+        spectrum_runs.append(threshold)
+        return candidates(gaps, primes, threshold)
 
     # Patch every decision module that could call cyc_divides on its own.
     for module in (phitree, spectra):
         monkeypatch.setattr(module, "cyc_divides", counting_divides, raising=False)
-    monkeypatch.setattr(spectra, "prime_power_candidates", counting_candidates)
+    monkeypatch.setattr(spectra, "_candidate_indices", counting_candidates)
     decide_tile_digit_set(base, digits)
     assert calls and max(calls.values()) == 1
     assert len(spectrum_runs) == 1

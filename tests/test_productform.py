@@ -160,6 +160,9 @@ def test_higher_order_rejects_bad_regrouping():
         build_higher_order(inner, ((0, 1), (0, 8), (0, 16, 32)), (2, 1))
     with pytest.raises(InvalidRegrouping):
         build_higher_order(inner, ((0, 1), (0, 8)), (1, 2))
+    for exps in ((1, -2), (True, 2), (1.0, 2)):
+        with pytest.raises(InvalidRegrouping, match="non-negative integers"):
+            build_higher_order(inner, ((0, 1), (0, 8), (0, 16, 32)), exps)
 
 
 def test_lift_kernel():

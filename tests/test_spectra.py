@@ -12,25 +12,32 @@ from cyclotile.spectra import (
     check_t2,
     completeness_threshold,
     general_spectrum,
-    prime_power_candidates,
     prime_power_spectrum,
     spectrum_report,
     spectrum_structure,
 )
 
 
+def brute_is_prime_power(q):
+    """q > 1 is a power of its smallest divisor above 1, by trial division."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def brute_prime_power_spectrum(p):
     """Oracle: trial-divide by every cyclotomic of prime-power index."""
-    out = []
-    for q in prime_power_candidates(2 * p.degree + 1):
-        if divide_exact(p, cyclotomic(q)) is not None:
-            out.append(q)
-    return tuple(out)
+    return tuple(
+        q
+        for q in range(2, 2 * p.degree + 2)
+        if brute_is_prime_power(q) and divide_exact(p, cyclotomic(q)) is not None
+    )
 
 
-def test_prime_power_candidates():
-    assert list(prime_power_candidates(16)) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
-    assert list(prime_power_candidates(1)) == []
+def brute_spectrum(p, top):
+    """Oracle: every index 2..top whose cyclotomic divides p, one by one."""
+    return tuple(s for s in range(2, top + 1) if cyc_divides(s, p))
 
 
 def test_prime_power_spectrum_frozen_cases():
@@ -209,3 +216,48 @@ def test_mask_degree_budget():
     assert MaskContext(mask_polynomial([0, 1, MAX_MASK_DEGREE])).degree == MAX_MASK_DEGREE
     with pytest.raises(CyclotileError, match="budget"):
         MaskContext(mask_polynomial([0, 1, MAX_MASK_DEGREE + 1]))
+
+
+# Every lacunary polynomial below has this degree, so its threshold, whose
+# search costs about a second at this size, is computed once.
+LACUNARY_DEGREE = 999_999
+
+
+def test_spectra_match_brute_scan():
+    """Both spectra equal a scan of every index up to the threshold.
+
+    Dense, lacunary and many-term polynomials, half of them with a planted
+    factor Phi_m(x**c).  A lacunary polynomial's threshold runs into the
+    millions, so its scan stops at 1000; the others are scanned to their
+    threshold.
+    """
+    rng = random.Random(57)
+    complete = 0
+    for trial in range(90):
+        kind = trial % 3
+        planted = IntPoly.one()
+        if trial % 2:
+            m, c = rng.randint(2, 30), rng.choice((1, 2, 3, 7) if kind != 1 else (1, 7, 1000))
+            planted = cyclotomic(m).compose_power(c)
+        if kind == 0:  # dense
+            p = _random_sparse(rng, rng.randint(1, 12), 24)
+        elif kind == 1:  # lacunary
+            top = LACUNARY_DEGREE - planted.degree
+            p = _random_sparse(rng, rng.randint(0, 3), top) + IntPoly.x_power(top)
+        else:  # many terms
+            p = _random_sparse(rng, rng.randint(20, 60), 90)
+        p = p * planted
+        threshold = completeness_threshold(p.degree) if p.degree else 1
+        top = min(threshold, 1000)
+        scan = brute_spectrum(p, top)
+        got = general_spectrum(p, top)
+        assert got.indices == scan, (p, top)
+        assert got.complete == (top == threshold)
+        prime_powers = prime_power_spectrum(p)
+        assert tuple(q for q in prime_powers if q <= top) == tuple(
+            q for q in scan if brute_is_prime_power(q)
+        ), p
+        if top == threshold:
+            complete += 1
+            assert all(q <= top for q in prime_powers)
+    assert complete == 60
