@@ -10,16 +10,33 @@ the divisor identity, every intermediate division exact); for any other n it
 is the squarefree-radical cyclotomic with x replaced by a power.  Both routes
 follow from the divisor identity and agree with the direct definition; the
 test suite re-derives them from scratch.
+
+`modular_root_of_unity` serves a reject-only divisibility test: an element
+of multiplicative order exactly s modulo a prime l = 1 (mod s) is a root of
+the s-th cyclotomic modulo l, so a polynomial that the s-th cyclotomic
+divides vanishes there too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
+from math import gcd, prod
 
 from .intpoly import IntPoly, divide_exact, long_divide
 
 
-@lru_cache(maxsize=None)
+# Bounded caches.  A 55 s run of the benchmark's corpus workload creates
+# 1,581 factorize keys, 8 cyclotomic keys and 214 root-of-unity keys; the
+# test suite's brute-force factoring of cyclotomic substitutions creates
+# 1,349 cyclotomic keys.  A mask with many terms and a large degree cycles
+# through more keys and recomputes the oldest.
+FACTORIZE_CACHE_SIZE = 8192
+CYCLOTOMIC_CACHE_SIZE = 2048
+ROOT_OF_UNITY_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as ((p, exponent), ...) with primes ascending."""
     if n < 1:
@@ -86,7 +103,7 @@ def is_prime_power(n: int):
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, exact and monic of degree euler_phi(n)."""
     if n < 1:
@@ -114,6 +131,76 @@ def _squarefree_cyclotomic(n: int) -> IntPoly:
         assert quot is not None, "Moebius quotient must stay exact"
         poly = quot
     return poly
+
+
+# Miller-Rabin to the first k prime bases is exact below the least strong
+# pseudoprime to all of them (Jaeschke, Math. Comp. 61, 1993; Sorenson and
+# Webster, Math. Comp. 86, 2017).  Each pair is that bound and the fewest
+# bases that reach it; the last bound is the limit of the test.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUNDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+MILLER_RABIN_LIMIT = _MILLER_RABIN_BOUNDS[-1][0]
+_MILLER_RABIN_BASE_PRODUCT = prod(_MILLER_RABIN_BASES)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < MILLER_RABIN_LIMIT."""
+    if not 0 <= n < MILLER_RABIN_LIMIT:
+        raise ValueError(f"is_prime is exact only on 0..{MILLER_RABIN_LIMIT - 1}")
+    if gcd(n, _MILLER_RABIN_BASE_PRODUCT) != 1:
+        return n in _MILLER_RABIN_BASES
+    if n < 2:
+        return False
+    bases = next(k for bound, k in _MILLER_RABIN_BOUNDS if n < bound)
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for a in _MILLER_RABIN_BASES[:bases]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=ROOT_OF_UNITY_CACHE_SIZE)
+def modular_root_of_unity(s: int) -> tuple[int, int] | None:
+    """(l, w): the least odd prime l = 1 (mod s) and the first power
+    a**((l - 1) / s), a = 2, 3, ..., whose multiplicative order modulo l is
+    exactly s.  None when l would reach MILLER_RABIN_LIMIT.
+
+    l does not divide s, so x**s - 1 has s distinct roots modulo l, and the
+    roots of order exactly s are the roots of the s-th cyclotomic.
+    """
+    if s < 1:
+        raise ValueError("root of unity order must be positive")
+    step = s if s % 2 == 0 else 2 * s  # an odd prime l has l - 1 even
+    for ell in range(step + 1, MILLER_RABIN_LIMIT, step):
+        if is_prime(ell):
+            break
+    else:
+        return None
+    primes = prime_factors(s)
+    # The group modulo l is cyclic, so some a gives a w of order exactly s.
+    for a in count(2):
+        w = pow(a, (ell - 1) // s, ell)
+        if all(pow(w, s // q, ell) != 1 for q in primes):
+            return ell, w
 
 
 def phi_at_one(n: int) -> int:
@@ -186,10 +273,12 @@ def cyc_divides(s: int, p: IntPoly) -> bool:
     count of p times 2**(number of primes of s), not with s or the degree.
 
     This is the exact oracle.  `spectra.MaskContext.divides` calls it only
-    for indices that pass the cheaper Mann prefilter, which can prove
-    non-divisibility from the gaps between p's exponents alone (Mann,
-    Mathematika 12, 1965; Conway and Jones, Acta Arith. 30, 1976; the
-    argument is in the `spectra` module docstring).
+    for indices that pass two cheaper reject-only stages: a partner test
+    that proves non-divisibility from p's exponents modulo a reduced index
+    alone (Mann, Mathematika 12, 1965; Conway and Jones, Acta Arith. 30,
+    1976), and an evaluation of p at a root of unity modulo a prime (see
+    `modular_root_of_unity`).  The arguments are in the `spectra` module
+    docstring.
     """
     if p.is_zero:
         raise ValueError("divisibility test against the zero polynomial")

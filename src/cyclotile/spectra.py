@@ -10,25 +10,43 @@ cyclotomic has degree euler_phi(s), so nothing above T divides.  By the
 argument below, every s that divides is a candidate (d = u, m = gcd(s, M)),
 so a lacunary mask tests divisors of a few gaps, not a range of indices.
 
-Every index first meets an exact, reject-only prefilter,
-`MaskContext.may_vanish`, built on Mann's theorem (Mathematika 12, 1965;
-refined by Conway and Jones, Acta Arith. 30, 1976): when a sum of k roots
-of unity with nonzero rational coefficients vanishes and no proper subsum
-does, every ratio of two of its roots has order dividing the product of the
-primes <= k.
+Every index s meets two exact, reject-only stages before the exact
+`cyc_divides`; an index either stage rejects cannot divide, and an index
+that passes both still goes to the exact test.
 
-Proof sketch.  Let P have n >= 2 terms with exponents e_i, let M be the
+The partner stage, `MaskContext.may_vanish`, is built on Mann's theorem
+(Mathematika 12, 1965; refined by Conway and Jones, Acta Arith. 30, 1976):
+when a sum of k roots of unity with nonzero rational coefficients vanishes
+and no proper subsum does, every ratio of two of its roots has order
+dividing the product of the primes <= k.
+
+Proof sketch.  Let P have n >= 1 terms with exponents e_i, let M be the
 product of the primes <= n, and let the s-th cyclotomic divide P, so P
 vanishes at a primitive s-th root of unity.  Group P's terms by exponent
-modulo s.  A term whose group sums to zero has a partner j in its group, so
-s divides e_j - e_i.  Any other term's group lies in a minimal vanishing
-subsum of at most n groups, which holds a partner j with s dividing
-(e_j - e_i) * M.  M is squarefree, so either way u = s / gcd(s, M) divides
-e_j - e_i.  The prefilter asks this of the first and the last term: u must
-divide some gap from the first exponent and some gap to the last.  A
-monomial has no partner and no cyclotomic factor.  An index that passes
-still goes to the exact `cyc_divides`.  The check costs O(terms) and
-factors nothing, so a lacunary mask pays for its term count, not its degree.
+modulo s.  A term whose group sums to zero has a partner j != i in its
+group, so s divides e_j - e_i.  Any other term's group lies in a minimal
+vanishing subsum of at most n groups, which holds a partner j in another
+group with s dividing (e_j - e_i) * M.  M is squarefree, so either way
+u = s / gcd(s, M) divides e_j - e_i.  So every term has a partner modulo u:
+no residue class of the exponents modulo u holds exactly one term.  The
+stage asks this of every term.  It depends on s only through u, and the
+candidates d * m that share d share u, so a context answers it once per u.
+A monomial has no partner and no cyclotomic factor.  The stage costs
+O(terms) per u and factors nothing, so a lacunary mask pays for its term
+count, not its degree.
+
+The modular stage, `MaskContext.may_vanish_mod_prime`, evaluates P at a
+root of unity modulo a prime (in the spirit of Lam and Leung, J. Algebra
+224, 2000).  Take the least odd prime l = 1 (mod s) and w of multiplicative
+order exactly s modulo l (`cyclo.modular_root_of_unity`).  l does not
+divide s, so w is a root of the s-th cyclotomic modulo l; when that
+cyclotomic divides P over the integers, P(w) = 0 (mod l).  A nonzero P(w)
+proves that it does not divide.  w is invertible, so the stage evaluates
+P / x**e_0 instead, by Horner's scheme: one modular power per distinct gap
+between consecutive exponents, then one multiplication per term.  It runs
+only on indices whose cyclotomic's degree fits P's (the exact test rejects
+the others at once) and lets through every s whose l would pass the
+deterministic Miller-Rabin bound.
 
 On top of the spectra sit three checks used throughout the package:
 
@@ -43,6 +61,7 @@ On top of the spectra sit three checks used throughout the package:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -51,8 +70,10 @@ from math import gcd
 from .cyclo import (
     cyc_divides,
     divisors,
+    euler_phi,
     factorize,
     is_prime_power,
+    modular_root_of_unity,
     phi_at_one,
     phi_monotone_bound,
     prime_factors,
@@ -89,10 +110,13 @@ class MaskContext:
     Every layer of a decision asks the same question many times: does the
     s-th cyclotomic divide the mask?  They all ask through one context, so
     each index is tested once; `tests` counts the distinct indices tested.
-    An index goes to the exact `cyc_divides` only when it passes the Mann
-    prefilter `may_vanish` (see the module docstring).  The threshold, the
-    candidates and the prime-power spectrum are computed on first use, so a
-    context that only searches never computes them.
+    An index meets three stages (module docstring), and each distinct index
+    is counted by the one that decides it: `partner_rejections` for the
+    partner test `may_vanish`, `modular_rejections` for the evaluation
+    modulo a prime, and `exact_tests` for the exact `cyc_divides`; the
+    three add up to `tests`.  The threshold, the candidates and the
+    prime-power spectrum are computed on first use, so a context that only
+    searches never computes them.
     """
 
     def __init__(self, p: IntPoly):
@@ -105,27 +129,66 @@ class MaskContext:
         self.poly = p
         self.degree: int = p.degree
         self.tests = 0
+        self.partner_rejections = 0
+        self.modular_rejections = 0
+        self.exact_tests = 0
         self._divides: dict[int, bool] = {}
-        exponents = [e for e, _ in p.terms()]
-        self._primorial = primorial(len(exponents))
-        self._gaps_from_first = tuple(e - exponents[0] for e in exponents[1:])
-        self._gaps_to_last = tuple(exponents[-1] - e for e in exponents[:-1])
+        self._partnered: dict[int, bool] = {}
+        terms = p.terms()
+        self._exponents = [e for e, _ in terms]
+        self._primorial = primorial(len(terms))
+        first = self._exponents[0]
+        self._gaps_from_first = tuple(e - first for e in self._exponents[1:])
+        # Horner's scheme for P / x**first from the top term down: each
+        # coefficient with the gap to the next exponent (0 for the top one).
+        steps = [b - a for a, b in zip(self._exponents, self._exponents[1:])] + [0]
+        self._horner = tuple(zip((c for _, c in terms), steps))[::-1]
+        self._steps = frozenset(steps)
 
     def may_vanish(self, s: int) -> bool:
-        """Mann's necessary condition for the s-th cyclotomic to divide the polynomial.
+        """Mann's necessary condition for the s-th cyclotomic to divide the
+        polynomial: every exponent has a partner modulo s / gcd(s, M).
 
         False proves that it does not divide; True decides nothing.
         """
         u = s // gcd(s, self._primorial)
-        return any(d % u == 0 for d in self._gaps_from_first) and any(
-            d % u == 0 for d in self._gaps_to_last
-        )
+        hit = self._partnered.get(u)
+        if hit is None:
+            counts = Counter(e % u for e in self._exponents)
+            hit = self._partnered[u] = 1 not in counts.values()
+        return hit
+
+    def may_vanish_mod_prime(self, s: int) -> bool:
+        """The polynomial vanishes at a root of the s-th cyclotomic modulo a
+        prime (module docstring).
+
+        False proves that the s-th cyclotomic does not divide; True decides
+        nothing.
+        """
+        root = modular_root_of_unity(s)
+        if root is None:
+            return True
+        ell, w = root
+        power = {g: pow(w, g % s, ell) for g in self._steps}
+        acc = 0
+        for c, g in self._horner:
+            acc = (acc * power[g] + c) % ell
+        return acc == 0
 
     def divides(self, s: int) -> bool:
         hit = self._divides.get(s)
         if hit is None:
             self.tests += 1
-            hit = self._divides[s] = self.may_vanish(s) and cyc_divides(s, self.poly)
+            if not self.may_vanish(s):
+                self.partner_rejections += 1
+                hit = False
+            elif euler_phi(s) <= self.degree and not self.may_vanish_mod_prime(s):
+                self.modular_rejections += 1
+                hit = False
+            else:
+                self.exact_tests += 1
+                hit = cyc_divides(s, self.poly)
+            self._divides[s] = hit
         return hit
 
     @cached_property

@@ -2,7 +2,10 @@ import cmath
 import math
 import random
 
+import pytest
+
 from cyclotile.cyclo import (
+    MILLER_RABIN_LIMIT,
     cyc_divides,
     cyclotomic,
     cyclotomic_product,
@@ -12,12 +15,24 @@ from cyclotile.cyclo import (
     expand_indices,
     expand_times,
     factorize,
+    is_prime,
+    modular_root_of_unity,
     phi_at_one,
     phi_monotone_bound,
     primorial,
     radical,
 )
 from cyclotile.intpoly import IntPoly, divide_exact, mask_polynomial
+
+
+def prime_sieve(n):
+    """Oracle: a table with sieve[k] true exactly for the primes k < n."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return sieve
 
 
 def oracle_cyclotomic(n):
@@ -219,3 +234,93 @@ def test_phi_monotone_bound():
     assert phi_monotone_bound(9) == 30
     assert phi_monotone_bound(1) == 2
     assert phi_monotone_bound(5) == 12
+
+
+def test_is_prime_matches_sieve():
+    sieve = prime_sieve(10**6)
+    assert all(is_prime(n) == bool(sieve[n]) for n in range(10**6))
+
+
+def strong_probable_prime(n, a):
+    """Reference: one round of Miller-Rabin, n odd and > a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to the first k prime bases, with its factors:
+# is_prime must use at least k + 1 bases from each of these upward.
+STRONG_PSEUDOPRIMES = (
+    (2047, 1, (23, 89)),
+    (1373653, 2, (829, 1657)),
+    (25326001, 3, (2251, 11251)),
+    (3215031751, 4, (151, 751, 28351)),
+    (2152302898747, 5, (6763, 10627, 29947)),
+    (3474749660383, 6, (1303, 16927, 157543)),
+    (341550071728321, 8, (10670053, 32010157)),
+    (3825123056546413051, 11, (149491, 747451, 34233211)),
+    (318665857834031151167461, 12, (399165290221, 798330580441)),
+)
+
+
+def test_is_prime_strong_pseudoprimes():
+    for n, k, factors in STRONG_PSEUDOPRIMES:
+        assert math.prod(factors) == n
+        assert all(strong_probable_prime(n, a) for a in BASES[:k]), n
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**61 - 1) * 1000003)
+    with pytest.raises(ValueError):
+        is_prime(MILLER_RABIN_LIMIT)
+    with pytest.raises(ValueError):
+        is_prime(-7)
+
+
+def test_is_prime_matches_all_bases():
+    """Fewer bases below each bound give the answer of all thirteen, which
+    is exact on the whole range: random odd numbers between two bounds and
+    the last 500 odd numbers below each."""
+    rng = random.Random(71)
+    tops = [n for n, _, _ in STRONG_PSEUDOPRIMES] + [MILLER_RABIN_LIMIT]
+    primes = 0
+    for low, high in zip(tops, tops[1:]):
+        odd = [rng.randrange(low, high) | 1 for _ in range(300)]
+        for n in odd + list(range(high - 1000, high, 2)):
+            full = all(strong_probable_prime(n, a) for a in BASES)
+            assert is_prime(n) == full, n
+            primes += full
+    assert primes > 100
+
+
+def test_modular_root_of_unity():
+    """l is the least odd prime = 1 (mod s) and w has order exactly s mod l."""
+    top = 2000
+    sieve = prime_sieve(200 * top)
+    for s in range(1, top + 1):
+        ell, w = modular_root_of_unity(s)
+        step = s if s % 2 == 0 else 2 * s
+        assert sieve[ell] and ell % 2 and (ell - 1) % step == 0, s
+        assert not any(sieve[k] for k in range(step + 1, ell, step)), s
+        x, order = w, 1
+        while x != 1:
+            x, order = x * w % ell, order + 1
+            assert order <= s, s
+        assert order == s, s
+    with pytest.raises(ValueError):
+        modular_root_of_unity(0)
+    assert modular_root_of_unity(MILLER_RABIN_LIMIT) is None
+
+
+def test_caches_are_bounded():
+    for cached in (factorize, cyclotomic, modular_root_of_unity, phi_monotone_bound):
+        assert cached.cache_info().maxsize is not None, cached

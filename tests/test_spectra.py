@@ -1,8 +1,18 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from cyclotile.cyclo import cyc_divides, cyclotomic, divide_exact, euler_phi
+from cyclotile.cyclo import (
+    MILLER_RABIN_LIMIT,
+    cyc_divides,
+    cyclotomic,
+    divide_exact,
+    divisors,
+    euler_phi,
+    primorial,
+)
 from cyclotile.errors import CyclotileError, WrongCardinality
 from cyclotile.intpoly import IntPoly, mask_polynomial
 from cyclotile.spectra import (
@@ -261,3 +271,90 @@ def test_spectra_match_brute_scan():
             complete += 1
             assert all(q <= top for q in prime_powers)
     assert complete == 60
+
+
+def first_last_partner_test(p, s):
+    """Reference copy of the earlier partner test, which asked Mann's
+    condition of the first and the last term only."""
+    exponents = [e for e, _ in p.terms()]
+    u = s // math.gcd(s, primorial(len(exponents)))
+    return any((e - exponents[0]) % u == 0 for e in exponents[1:]) and any(
+        (exponents[-1] - e) % u == 0 for e in exponents[:-1]
+    )
+
+
+def _mixed_polynomials(seed, count):
+    """Dense, lacunary and many-term polynomials with coefficients in
+    -3..3, half of them times a planted Phi_m(x**c)."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        kind = trial % 3
+        if kind == 0:
+            p = _random_sparse(rng, rng.randint(1, 12), 24)
+        elif kind == 1:
+            p = _random_sparse(rng, rng.randint(1, 5), 500_000)
+        else:
+            p = _random_sparse(rng, rng.randint(20, 60), 90)
+        if trial % 2:
+            m, c = rng.randint(2, 30), rng.choice((1, 2, 3, 7, 1000) if kind == 1 else (1, 2, 3, 7))
+            p = p * cyclotomic(m).compose_power(c)
+            yield p, sorted(set(range(1, 121)) | set(divisors(m * c)))
+        else:
+            yield p, range(1, 121)
+
+
+def test_partner_test_rejects_what_first_last_test_rejects():
+    stronger = 0
+    for p, indices in _mixed_polynomials(61, 150):
+        ctx = MaskContext(p)
+        for s in indices:
+            old = first_last_partner_test(p, s)
+            assert ctx.may_vanish(s) <= old, (p, s)
+            stronger += old and not ctx.may_vanish(s)
+    assert stronger > 1000
+
+
+def test_partner_test_middle_singleton():
+    # Four terms, so M = 6 and u = 5 for s = 5.  Exponents 0, 5 and 10
+    # share a residue mod 5 and 7 is alone: the first and the last term
+    # both have partners, and only the middle term shows that the fifth
+    # cyclotomic cannot divide (1 + x**5 + x**7 + x**10 is 3 + z**2 at z).
+    p = mask_polynomial([0, 5, 7, 10])
+    ctx = MaskContext(p)
+    assert first_last_partner_test(p, 5)
+    assert not ctx.may_vanish(5)
+    assert not cyc_divides(5, p) and not ctx.divides(5)
+    assert (ctx.tests, ctx.partner_rejections) == (1, 1)
+
+
+def test_modular_stage_never_rejects_a_divisor():
+    """The evaluation modulo a prime only rejects, and the three stage
+    counters of a context add up to its distinct tests."""
+    divisible = rejected = 0
+    for p, indices in _mixed_polynomials(67, 150):
+        ctx = MaskContext(p)
+        counts = Counter()
+        for s in indices:
+            exact = cyc_divides(s, p)
+            modular = ctx.may_vanish_mod_prime(s)
+            if exact:
+                assert modular, (p, s)
+            divisible += exact
+            rejected += not modular
+            if not ctx.may_vanish(s):
+                counts["partner"] += 1
+            elif euler_phi(s) <= p.degree and not modular:
+                counts["modular"] += 1
+            else:
+                counts["exact"] += 1
+            assert ctx.divides(s) == exact, (p, s)
+        assert ctx.tests == len(indices)
+        assert (ctx.partner_rejections, ctx.modular_rejections, ctx.exact_tests) == (
+            counts["partner"],
+            counts["modular"],
+            counts["exact"],
+        )
+    assert divisible > 150 and rejected > 10_000
+    # Past the Miller-Rabin bound there is no prime to work modulo, and the
+    # stage lets the index through.
+    assert MaskContext(mask_polynomial([0, 1])).may_vanish_mod_prime(MILLER_RABIN_LIMIT)
