@@ -23,13 +23,13 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, prod
 
-from .intpoly import IntPoly, divide_exact, long_divide
+from .intpoly import IntPoly, divide_exact
 
 
 # Bounded caches.  A 55 s run of the benchmark's corpus workload creates
 # 1,581 factorize keys, 8 cyclotomic keys and 214 root-of-unity keys; the
 # test suite's brute-force factoring of cyclotomic substitutions creates
-# 1,349 cyclotomic keys.  A mask with many terms and a large degree cycles
+# 155 cyclotomic keys.  A mask with many terms and a large degree cycles
 # through more keys and recomputes the oldest.
 FACTORIZE_CACHE_SIZE = 8192
 CYCLOTOMIC_CACHE_SIZE = 2048
@@ -306,25 +306,21 @@ def cyclotomic_product(indices) -> IntPoly:
     return poly
 
 
-def divide_by_cyclotomics(p: IntPoly, indices):
-    """Exact quotient of p by a product of distinct cyclotomics, or None.
+def cyclotomics_divide(indices, p: IntPoly) -> bool:
+    """Does the product of the distinct cyclotomics with these indices divide p?
 
-    Divides factor by factor; distinct cyclotomics are coprime, so the
-    product divides p exactly when each sequential division is exact.  Each
-    divisor is sparse, which makes this much faster than dividing by the
-    materialized product.  All divisions run on one dense work list, which
-    becomes a polynomial once, at the end.
+    Member by member.  The e-th cyclotomic divides x**e - 1, so it divides p
+    exactly when it divides p's remainder modulo x**e - 1; folding the
+    exponents mod e gives that remainder in O(terms), and its degree is
+    below e, so the one exact division by the materialized cyclotomic costs
+    O(e), not O(degree(p)).  Distinct cyclotomics are coprime and monic, so
+    their product divides p exactly when each of them does.  The check is
+    independent of `cyc_divides`.
     """
-    if len(set(indices)) != len(tuple(indices)):
+    indices = tuple(indices)
+    if len(set(indices)) != len(indices):
         raise ValueError("cyclotomic indices must be distinct")
-    work = list(p.coeffs)
-    for n in sorted(indices, reverse=True):
-        phi = cyclotomic(n)
-        quot = long_divide(work, phi)
-        if any(work[: phi.degree]):
-            return None
-        work = quot
-    return IntPoly(work)
+    return all(divide_exact(p.fold_mod(e), cyclotomic(e)) is not None for e in indices)
 
 
 @lru_cache(maxsize=256)

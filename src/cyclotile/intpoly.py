@@ -12,10 +12,11 @@ count, not the degree.  The polynomials this package cares about (digit
 masks, cyclotomics of smooth index) are extremely sparse, and a mask with
 a digit near 2**62 costs no more than one with a digit near 10.  Exact
 division is the one exception: its quotients are dense in general, so
-`long_divide` works on a dense list of the dividend's coefficients, and a
-chain of divisions can stay on that one list.  The
-positional constructor and `coeffs` are dense views for small literals and
-tests.
+`divmod_exact` works on a dense list of the dividend's coefficients.  Its
+two callers keep that list short: cyclotomic generation, and the kernel
+check, which first folds the dividend modulo x**e - 1.  The positional
+constructor and `coeffs` are dense views for small literals, tests and that
+division.
 """
 
 from __future__ import annotations
@@ -217,24 +218,12 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
         raise ValueError("division by the zero polynomial")
     if q.leading not in (1, -1):
         raise ValueError("divisor leading coefficient must be 1 or -1")
-    dq = q.degree
+    dq, lead = q.degree, q.leading
     if p.is_zero or p.degree < dq:
         return IntPoly.zero(), p
     rem = list(p.coeffs)
-    quot = long_divide(rem, q)
-    return IntPoly(quot), IntPoly(rem[:dq])
-
-
-def long_divide(rem: list[int], q: IntPoly) -> list[int]:
-    """Divide a dense coefficient list by q in place; return the dense quotient.
-
-    q must be nonzero with leading coefficient 1 or -1 (unchecked).  On
-    return rem holds the remainder: rem[:q.degree] are its coefficients and
-    every entry above them is zero.
-    """
-    dq, lead = q.degree, q.leading
     low = q.terms()[:-1]  # the divisor below its leading term
-    quot = [0] * max(len(rem) - dq, 0)
+    quot = [0] * (len(rem) - dq)
     for i in range(len(rem) - 1, dq - 1, -1):
         c = rem[i]
         if c:
@@ -245,7 +234,7 @@ def long_divide(rem: list[int], q: IntPoly) -> list[int]:
             base = i - dq
             for e, qc in low:
                 rem[base + e] -= c * qc
-    return quot
+    return IntPoly(quot), IntPoly(rem[:dq])
 
 
 def divide_exact(p: IntPoly, q: IntPoly):

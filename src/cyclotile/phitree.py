@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .cyclo import (
     cyclotomic_product,
-    divide_by_cyclotomics,
+    cyclotomics_divide,
     divisors,
     euler_phi,
     expand_indices,
@@ -143,7 +143,7 @@ class Blocking:
         return cyclotomic_product(self.indices)
 
     def divides(self, p: IntPoly) -> bool:
-        return divide_by_cyclotomics(p, self.indices) is not None
+        return cyclotomics_divide(self.indices, p)
 
 
 def _descends(base: int, ancestor: int, target: int) -> bool:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cyclo import cyc_divides, divide_by_cyclotomics, divisors, expand_times
+from .cyclo import cyc_divides, cyclotomics_divide, divisors, expand_times
 from .digitset import DigitSet
 from .errors import (
     DirectSumCollision,
@@ -247,7 +247,7 @@ def build_modulo_product_form(dec: Decomposition, representatives) -> Constructi
         stage_digits.append(tuple(digits))
     ds = DigitSet.of(dec.base, digits)
     ds.require_cardinality()
-    assert divide_by_cyclotomics(ds.mask(), trace.kernel_indices) is not None, (
+    assert cyclotomics_divide(trace.kernel_indices, ds.mask()), (
         "stage kernel lost by the modulo moves"
     )
     return Construction(
@@ -272,7 +272,7 @@ def build_weak_product_form(dec: Decomposition, representatives) -> Construction
     )
     ds = DigitSet.of(dec.base, digits)
     ds.require_cardinality()
-    assert divide_by_cyclotomics(ds.mask(), plain.trace.kernel_indices) is not None, (
+    assert cyclotomics_divide(plain.trace.kernel_indices, ds.mask()), (
         "stage kernel lost by the final modulo"
     )
     return Construction(

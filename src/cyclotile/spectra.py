@@ -3,12 +3,22 @@
 The prime-power spectrum of a mask P collects the prime powers q > 1 whose
 cyclotomic divides P; the general spectrum collects all indices up to a cap.
 Both read one finite candidate set, `MaskContext.candidates`: every s <= T
-of the form d * m, with d a divisor of a gap from P's first exponent and m a
-product of distinct primes <= n, the term count of P.  T, the completeness
-threshold, is the largest s with euler_phi(s) <= degree(P); the s-th
-cyclotomic has degree euler_phi(s), so nothing above T divides.  By the
-argument below, every s that divides is a candidate (d = u, m = gcd(s, M)),
-so a lacunary mask tests divisors of a few gaps, not a range of indices.
+that passes the partner stage below.  T, the completeness threshold, is the
+largest s with euler_phi(s) <= degree(P); the s-th cyclotomic has degree
+euler_phi(s), so nothing above T divides.  Every s that divides passes the
+partner stage, so every s that divides is a candidate.
+
+The candidates have a closed form.  Let n be the term count of P, M the
+product of the primes <= n, and u = s / gcd(s, M).  The partner stage
+passes s exactly when every exponent has a partner modulo u; the first
+exponent's partner makes u a divisor of a gap from it.  M is squarefree,
+so dividing s by gcd(s, M) removes one factor of each prime of M that
+divides s: s reduces to u exactly when s = u * gcd(u, M) * m', with m' a
+product of distinct primes of M that do not divide u.  So the candidates
+are, for each partnered u that divides a gap from the first exponent, the
+indices u * gcd(u, M) * m' up to T.  A lacunary mask tests divisors of a
+few gaps, not a range of indices, and no index that the partner stage
+rejects is ever formed.
 
 Every index s meets two exact, reject-only stages before the exact
 `cyc_divides`; an index either stage rejects cannot divide, and an index
@@ -29,11 +39,11 @@ vanishing subsum of at most n groups, which holds a partner j in another
 group with s dividing (e_j - e_i) * M.  M is squarefree, so either way
 u = s / gcd(s, M) divides e_j - e_i.  So every term has a partner modulo u:
 no residue class of the exponents modulo u holds exactly one term.  The
-stage asks this of every term.  It depends on s only through u, and the
-candidates d * m that share d share u, so a context answers it once per u.
-A monomial has no partner and no cyclotomic factor.  The stage costs
-O(terms) per u and factors nothing, so a lacunary mask pays for its term
-count, not its degree.
+stage asks this of every term.  It depends on s only through u, so a
+context answers it once per u, and the candidate set asks it before it
+forms any index that reduces to u.  A monomial has no partner and no
+cyclotomic factor.  The stage costs O(terms) per u and factors nothing, so
+a lacunary mask pays for its term count, not its degree.
 
 The modular stage, `MaskContext.may_vanish_mod_prime`, evaluates P at a
 root of unity modulo a prime (in the spirit of Lam and Leung, J. Algebra
@@ -85,23 +95,30 @@ from .intpoly import IntPoly, mask_polynomial
 
 # Largest polynomial degree a MaskContext accepts.  What still scales with
 # the degree is the completeness threshold's search (`phi_monotone_bound`
-# sieves the primes up to the degree) and the dense exact division in
-# `phitree.Blocking.divides`.  At this degree a three-digit `analyze` takes
-# seconds; a larger mask is refused with CyclotileError before either runs.
+# sieves the primes up to the degree).  At this degree a three-digit
+# `analyze` takes seconds; a larger mask is refused with CyclotileError
+# before it runs.
 MAX_MASK_DEGREE = 10**6
 
 
-def _candidate_indices(gaps, primes, threshold: int) -> tuple[int, ...]:
-    """Every s in 2..threshold that is a divisor of a gap times a product of
-    distinct `primes`, ascending.  Built prime by prime, so no product above
-    the threshold is ever formed."""
-    found = {1}
-    for gap in gaps:
-        found.update(d for d in divisors(gap) if d <= threshold)
-    for p in primes:
-        found.update([s * p for s in found if s * p <= threshold])
-    found.discard(1)
-    return tuple(sorted(found))
+def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, ...]:
+    """Every s in 2..threshold that passes `ctx.may_vanish`, ascending, in
+    closed form (module docstring).  `primes` are the primes of M.  Each
+    u divides a gap from the first exponent; u * gcd(u, M) is the least
+    index that reduces to u, and it asks the partner test of u.  The
+    products of distinct primes of M that do not divide u are built prime
+    by prime, so no product above the threshold is ever formed."""
+    found = []
+    for u in {d for gap in ctx._gaps_from_first for d in divisors(gap)}:
+        low = u * gcd(u, ctx._primorial)
+        if low > threshold or not ctx.may_vanish(low):
+            continue
+        family = [low]
+        for p in primes:
+            if u % p:
+                family += [s * p for s in family if s * p <= threshold]
+        found += family
+    return tuple(sorted(s for s in found if s > 1))
 
 
 class MaskContext:
@@ -198,9 +215,10 @@ class MaskContext:
 
     @cached_property
     def candidates(self) -> tuple[int, ...]:
-        """Every index in 2..threshold that may divide, ascending (module docstring)."""
-        primes = prime_factors(self._primorial)
-        return _candidate_indices(self._gaps_from_first, primes, self.threshold)
+        """Every index in 2..threshold that passes `may_vanish`, ascending: for
+        each partnered u dividing a gap from the first exponent, the indices
+        u * gcd(u, M) * m' (module docstring)."""
+        return _candidate_indices(self, prime_factors(self._primorial), self.threshold)
 
     @cached_property
     def prime_powers(self) -> tuple[int, ...]:

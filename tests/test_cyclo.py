@@ -9,7 +9,7 @@ from cyclotile.cyclo import (
     cyc_divides,
     cyclotomic,
     cyclotomic_product,
-    divide_by_cyclotomics,
+    cyclotomics_divide,
     divisors,
     euler_phi,
     expand_indices,
@@ -140,18 +140,21 @@ def test_expand_indices_frozen_values():
 
 
 def brute_expand(d, b):
-    """Independent oracle: factor cyclotomic(d)(x**b) by trial division."""
+    """Independent oracle: factor cyclotomic(d)(x**b) by trial division.
+
+    Every root x of cyclotomic(d)(x**b) has x**(d*b) = 1, so only indices
+    dividing d*b can divide it; the quotient must still reach 1, which
+    proves the factorization complete.
+    """
     target = cyclotomic(d).compose_power(b)
     found = []
-    e = 2 if d > 1 else 1
-    while not target == IntPoly.one():
-        assert e <= d * b * b, "oracle ran away"
+    for e in divisors(d * b):
         q = divide_exact(target, cyclotomic(e))
-        if q is not None:
+        while q is not None:
             found.append(e)
             target = q
-        else:
-            e += 1
+            q = divide_exact(target, cyclotomic(e))
+    assert target == IntPoly.one(), "oracle missed a factor"
     return frozenset(found)
 
 
@@ -210,13 +213,25 @@ def test_cyc_divides_matches_plain_division():
         assert cyc_divides(s, p) == (divide_exact(p, cyclotomic(s)) is not None)
 
 
-def test_divide_by_cyclotomics():
+def dense_quotient(p, q):
+    """Reference: exact quotient p / q by dense long division, or None."""
+    rem, top = list(p.coeffs), q.degree
+    quot = [0] * max(len(rem) - top, 0)
+    for i in range(len(rem) - 1, top - 1, -1):
+        c = rem[i] * q.leading  # the leading coefficient is 1 or -1
+        quot[i - top] = c
+        for e, d in q.terms():
+            rem[i - top + e] -= c * d
+    return None if any(rem) else IntPoly(quot)
+
+
+def test_cyclotomics_divide():
     p = mask_polynomial([0, 1, 8, 9])
-    q = divide_by_cyclotomics(p, [2, 16])
-    assert q is not None
-    assert q * cyclotomic(2) * cyclotomic(16) == p
-    assert divide_by_cyclotomics(p, [2, 8]) is None
-    # against one division by the materialized product
+    assert cyclotomics_divide([2, 16], p)
+    q = dense_quotient(p, cyclotomic_product([2, 16]))
+    assert q is not None and q * cyclotomic(2) * cyclotomic(16) == p
+    assert not cyclotomics_divide([2, 8], p)
+    # against one dense division by the materialized product
     rng = random.Random(17)
     for trial in range(60):
         digits = rng.sample(range(0, 40), rng.randint(1, 8))
@@ -224,10 +239,15 @@ def test_divide_by_cyclotomics():
         p = mask_polynomial(digits)
         if trial % 2:
             p = p * cyclotomic_product(indices)
-        assert divide_by_cyclotomics(p, indices) == divide_exact(
-            p, cyclotomic_product(indices)
-        ), (digits, indices)
-    assert divide_by_cyclotomics(IntPoly.zero(), [3, 5]) == IntPoly.zero()
+        want = dense_quotient(p, cyclotomic_product(indices)) is not None
+        assert cyclotomics_divide(indices, p) == want, (digits, indices)
+    assert cyclotomics_divide([3, 5], IntPoly.zero())
+    with pytest.raises(ValueError, match="distinct"):
+        cyclotomics_divide([3, 3], p)
+    # A lacunary tile's kernel: the cost follows the members, not the degree.
+    lacunary = mask_polynomial([0, 1, 2, 999_999])
+    assert cyclotomics_divide([2, 4], lacunary)
+    assert not cyclotomics_divide([2, 3], lacunary)
 
 
 def test_phi_monotone_bound():

@@ -334,7 +334,7 @@ def test_certificate_tampering_detected():
 
     broken = dict(payload)
     broken["blocking"] = [2, 4]  # valid blocking, wrong kernel
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="kernel does not divide"):
         certificate_from_json(json.dumps(broken))
 
     broken = dict(payload)

@@ -233,17 +233,11 @@ def test_mask_degree_budget():
 LACUNARY_DEGREE = 999_999
 
 
-def test_spectra_match_brute_scan():
-    """Both spectra equal a scan of every index up to the threshold.
-
-    Dense, lacunary and many-term polynomials, half of them with a planted
-    factor Phi_m(x**c).  A lacunary polynomial's threshold runs into the
-    millions, so its scan stops at 1000; the others are scanned to their
-    threshold.
-    """
-    rng = random.Random(57)
-    complete = 0
-    for trial in range(90):
+def _planted_polynomials(seed, count):
+    """Dense, lacunary and many-term polynomials, half of them times a
+    planted Phi_m(x**c); every lacunary one has degree LACUNARY_DEGREE."""
+    rng = random.Random(seed)
+    for trial in range(count):
         kind = trial % 3
         planted = IntPoly.one()
         if trial % 2:
@@ -256,7 +250,19 @@ def test_spectra_match_brute_scan():
             p = _random_sparse(rng, rng.randint(0, 3), top) + IntPoly.x_power(top)
         else:  # many terms
             p = _random_sparse(rng, rng.randint(20, 60), 90)
-        p = p * planted
+        yield p * planted
+
+
+def test_spectra_match_brute_scan():
+    """Both spectra equal a scan of every index up to the threshold.
+
+    Dense, lacunary and many-term polynomials, half of them with a planted
+    factor Phi_m(x**c).  A lacunary polynomial's threshold runs into the
+    millions, so its scan stops at 1000; the others are scanned to their
+    threshold.
+    """
+    complete = 0
+    for p in _planted_polynomials(57, 90):
         threshold = completeness_threshold(p.degree) if p.degree else 1
         top = min(threshold, 1000)
         scan = brute_spectrum(p, top)
@@ -271,6 +277,39 @@ def test_spectra_match_brute_scan():
             complete += 1
             assert all(q <= top for q in prime_powers)
     assert complete == 60
+
+
+def gap_product_candidates(p):
+    """Reference copy of the earlier candidate set, filtered by the partner
+    test: every s in 2..threshold of the form d * m, with d a divisor of a
+    gap from the first exponent and m a product of distinct primes <= the
+    term count."""
+    ctx = MaskContext(p)
+    exponents = [e for e, _ in p.terms()]
+    found = {1}
+    for e in exponents[1:]:
+        found.update(d for d in divisors(e - exponents[0]) if d <= ctx.threshold)
+    for q in range(2, len(exponents) + 1):
+        if all(q % r for r in range(2, q)):
+            found.update([s * q for s in found if s * q <= ctx.threshold])
+    return tuple(s for s in sorted(found) if s > 1 and ctx.may_vanish(s))
+
+
+def test_candidates_are_the_partnered_gap_products():
+    """The closed form yields exactly the earlier candidates that pass the
+    partner test, on dense, lacunary and many-term polynomials, half with
+    a planted Phi_m(x**c), and on a monomial and a constant."""
+    polys = [IntPoly.x_power(9, 2), IntPoly.x_power(0, -5)]
+    polys += _planted_polynomials(73, 150)
+    nonempty = 0
+    for p in polys:
+        if p.is_zero:
+            continue
+        got = MaskContext(p).candidates
+        assert got == gap_product_candidates(p), p
+        nonempty += bool(got)
+    assert nonempty > 100
+    assert MaskContext(polys[0]).candidates == MaskContext(polys[1]).candidates == ()
 
 
 def first_last_partner_test(p, s):
