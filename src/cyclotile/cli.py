@@ -88,7 +88,7 @@ def _cross_check(cert: Certificate) -> str | None:
     is not flagged; the converse (tile verdict, level check fails) is.
     """
     pro = protasov_decide(cert.base, cert.digits)
-    if pro.status != "inconclusive" and pro.is_tile != cert.is_tile:
+    if pro.is_tile != cert.is_tile:
         return (
             f"divisor-tree verdict {cert.verdict!r} but the integer-tree "
             f"search says {pro.status!r}"

@@ -20,8 +20,8 @@ from .intpoly import mask_polynomial
 from .phitree import blocking_search
 from .spectra import prime_power_spectrum
 
-# Hard ceiling on the period scan; beyond this the exact cover is no longer
-# a quick cross-check.
+# Hard ceiling on the period scan, for the default cap and an explicit one
+# alike; beyond this the exact cover is no longer a quick cross-check.
 _PERIOD_SCAN_LIMIT = 100_000
 
 # The spectrum-derived candidate is tried even past the scan limit (it is a
@@ -225,7 +225,8 @@ def integer_tile_check(digits, period_cap: int | None = None) -> ResidueTiling |
     The first candidate period is the lcm of the prime-power spectrum (the
     period that the coefficient-sum and product-closure conditions predict);
     after that every multiple of the digit count up to the cap is scanned.
-    Returns a verified tiling or None if no period up to the cap works.
+    Returns a verified tiling or None if no period up to the cap works.  A
+    cap above the scan limit raises CyclotileError.
     """
     a = tuple(sorted(digits))
     mask = mask_polynomial(a)  # validates distinct non-negative integers
@@ -238,6 +239,10 @@ def integer_tile_check(digits, period_cap: int | None = None) -> ResidueTiling |
         period_cap = min(_PERIOD_SCAN_LIMIT, max(4 * natural, m))
     if period_cap < m:
         raise ValueError(f"period cap {period_cap} is below the digit count {m}")
+    if period_cap > _PERIOD_SCAN_LIMIT:
+        raise CyclotileError(
+            f"period cap {period_cap} exceeds the budget of {_PERIOD_SCAN_LIMIT}"
+        )
 
     candidates = []
     if natural and natural % m == 0 and natural <= _NATURAL_ATTEMPT_LIMIT:

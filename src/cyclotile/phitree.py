@@ -146,22 +146,14 @@ class Blocking:
         return cyclotomics_divide(self.indices, p)
 
 
-def _descends(base: int, ancestor: int, target: int) -> bool:
-    """Is target reachable from ancestor by repeated child expansion?"""
-    frontier = {ancestor}
-    while frontier:
-        nxt = set()
-        for e in frontier:
-            for c in expand_indices(e, base):
-                if c == target:
-                    return True
-                if c < target:
-                    nxt.add(c)
-        frontier = nxt
-    return False
-
-
 def _diagnose_blocking(base: int, indices: tuple[int, ...]):
+    """(True, None) for a blocking, else (False, reason).
+
+    Walks down from the roots, stopping at members.  Every tree node has
+    exactly one parent, since each prime's exponent in the parent can be
+    read off the child, so a member that lies below another member is never
+    reached; neither is a number off the tree.  Both leave a member unhit.
+    """
     if base < 2:
         return False, "base must be at least 2"
     if not indices:
@@ -170,10 +162,6 @@ def _diagnose_blocking(base: int, indices: tuple[int, ...]):
         if e < 2 or math.gcd(e, base) == 1:
             return False, f"{e} is not a tree node for base {base}"
     members = set(indices)
-    for m in indices:
-        for m2 in indices:
-            if m != m2 and m < m2 and _descends(base, m, m2):
-                return False, f"{m2} lies below {m}; paths would be met twice"
     top = max(indices)
     hit: set[int] = set()
     memo: dict[int, bool] = {}
@@ -196,7 +184,7 @@ def _diagnose_blocking(base: int, indices: tuple[int, ...]):
             return False, f"a path from root {d} escapes the set"
     if hit != members:
         spare = sorted(members - hit)
-        return False, f"members {spare} are unreachable or redundant"
+        return False, f"members {spare} lie below another member or off the tree"
     return True, None
 
 
@@ -487,17 +475,17 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
 
 
-def certificate_from_json(text: str, verify: bool = True) -> Certificate:
+def certificate_from_json(text: str) -> Certificate:
     """Parse a serialized certificate, re-verifying it rather than trusting it.
 
-    Field types are always checked, and the report is recomputed with the
-    payload's general-spectrum cap.  Verification re-checks the verdict: a
-    tile certificate's blocking must be a blocking whose kernel divides the
-    mask exactly, the blocking search must find no blocking for a not-tile
+    Field types are checked, and the report is recomputed with the payload's
+    general-spectrum cap.  Every load re-checks the verdict: a tile
+    certificate's blocking must be a blocking whose kernel divides the mask
+    exactly, the blocking search must find no blocking for a not-tile
     certificate, and pk_order must equal its recomputed value (null for
-    not-tile).  It then requires every derived field (kernel, spectra, t1,
-    t2 and the structure fields) to equal its recomputed value.  Anything
-    that fails raises CertificateError.
+    not-tile).  Every derived field (kernel, spectra, t1, t2 and the
+    structure fields) must then equal its recomputed value.  Anything that
+    fails raises CertificateError.
     """
     try:
         payload = json.loads(text)
@@ -535,8 +523,7 @@ def certificate_from_json(text: str, verify: bool = True) -> Certificate:
         ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
     except CyclotileError as exc:
         raise CertificateError(f"invalid digit set: {exc}") from exc
-    if verify:
-        _verify_verdict(ctx, base, verdict, blocking, order)
+    _verify_verdict(ctx, base, verdict, blocking, order)
     cert = Certificate(
         base=base,
         digits=tuple(digits),
@@ -546,8 +533,7 @@ def certificate_from_json(text: str, verify: bool = True) -> Certificate:
         report=context_report(ctx, base, spectrum["cap"]),
         protasov_blocking=tuple(labels) if labels is not None else None,
     )
-    if verify:
-        _verify_derived(payload, _payload(cert))
+    _verify_derived(payload, _payload(cert))
     return cert
 
 

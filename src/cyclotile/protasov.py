@@ -4,8 +4,10 @@ Vertices at level k are residues m with 1 <= m < b**k whose last base-b
 digit is nonzero; the children of m are l*b**k + m for each digit l.  Each
 vertex carries a cyclotomic index b**k / gcd(m, b**k), and a digit set tiles
 exactly when the vertices whose index divides the mask block every infinite
-path.  Nothing here consults the divisor tree in phitree; agreement of the
-two searches is checked in the tests, not assumed.
+path.  Index totients grow at least geometrically with the level, so the
+search ends without a depth bound.  Nothing here consults the divisor tree
+in phitree; agreement of the two searches is checked in the tests, not
+assumed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "level_vertices",
     "vertex_children",
     "fiber",
-    "default_level_bound",
     "ProtasovStats",
     "ProtasovResult",
     "protasov_decide",
@@ -120,15 +121,6 @@ def fiber(base: int, level: int, index: int) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-def default_level_bound(degree: int) -> int:
-    """Depth past which no vertex index can divide a mask of this degree.
-
-    A vertex at level k keeps a prime shortfall from its last digit, so its
-    index is at least 2**k and the totient at least 2**(k-1).
-    """
-    return max(2, degree.bit_length() + 1)
-
-
 @dataclass
 class ProtasovStats:
     vertices: int = 0
@@ -138,7 +130,7 @@ class ProtasovStats:
 
 @dataclass
 class ProtasovResult:
-    status: str  # "blocking" | "absent" | "inconclusive"
+    status: str  # "blocking" | "absent"
     base: int
     blocking: tuple[Vertex, ...] | None
     stats: ProtasovStats = field(default_factory=ProtasovStats)
@@ -153,54 +145,41 @@ class ProtasovResult:
         return tuple(vertex_label(v, self.base) for v in self.blocking)
 
 
-_OK, _ABSENT, _DEEP = 0, 1, 2
-
-
-def protasov_decide(base: int, digits, max_level: int | None = None) -> ProtasovResult:
+def protasov_decide(base: int, digits) -> ProtasovResult:
     """Search the residue tree for a blocking of dividing vertices.
 
     Fail-fast: one vertex that neither divides nor can be outgrown by any
-    descendant settles absence.  With the default level bound the outcome is
-    always definite; a smaller explicit bound may return inconclusive.
+    descendant settles absence.  The outcome is always definite.  A vertex
+    at level k ends in a nonzero digit, so some prime p of the base divides
+    its index at least k times and the index's totient is at least
+    2**(k-1).  By level degree.bit_length() + 1 that totient exceeds the
+    degree, so the walk returns at the totient check and needs no depth
+    bound.
     """
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
     ctx = MaskContext(ds.mask())
     deg = ctx.degree
-    bound = default_level_bound(deg) if max_level is None else max_level
     stats = ProtasovStats()
     blocked: list[Vertex] = []
 
-    def walk(value: int, level: int) -> int:
+    def walk(value: int, level: int) -> bool:
+        """False when some path below the vertex escapes every division."""
         stats.vertices += 1
         stats.max_level = max(stats.max_level, level)
         t = tau_index(value, level, base)
-        hit = ctx.divides(t)
-        stats.divisions = ctx.tests
-        if hit:
+        if ctx.divides(t):
             blocked.append(Vertex(level, value))
-            return _OK
+            return True
         if euler_phi(t) > deg:
-            return _ABSENT
-        if level >= bound:
-            return _DEEP
+            return False
         step = base**level
-        saw_deep = False
-        for l in range(base):
-            got = walk(l * step + value, level + 1)
-            if got == _ABSENT:
-                return _ABSENT
-            saw_deep = saw_deep or got == _DEEP
-        return _DEEP if saw_deep else _OK
+        return all(walk(l * step + value, level + 1) for l in range(base))
 
-    outcome = _OK
-    for m in range(1, base):
-        got = walk(m, 1)
-        if got == _ABSENT:
-            return ProtasovResult("absent", base, None, stats)
-        outcome = max(outcome, got)
-    if outcome == _DEEP:
-        return ProtasovResult("inconclusive", base, None, stats)
+    found = all(walk(m, 1) for m in range(1, base))
+    stats.divisions = ctx.tests
+    if not found:
+        return ProtasovResult("absent", base, None, stats)
 
     # Close under fibers: vertices sharing an index stand or fall together,
     # so the certificate lists whole fibers, never representatives.  Each

@@ -239,6 +239,14 @@ def test_oracle_absent(capsys):
     assert "no period found" in out
 
 
+def test_oracle_period_cap_over_budget_exits_2(capsys):
+    code, out, err = run(capsys, "oracle", "--digits", "0,1,3", "--period-cap", "100001")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget of 100000" in err
+    code, out, _ = run(capsys, "oracle", "--digits", "0,1,3", "--period-cap", "12")
+    assert code == 1 and out == "integer tile: no period found\n"
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(
         capsys, "oracle", "--digits", "0,1,8,9", "--base", "4", "--format", "json"

@@ -139,6 +139,19 @@ def test_integer_tile_validation():
         integer_tile_check([0, 1, 4, 5], period_cap=3)
 
 
+def test_period_cap_budget(monkeypatch):
+    # An explicit cap obeys the same ceiling as the default one.
+    with pytest.raises(CyclotileError, match="budget of 100000"):
+        integer_tile_check([0, 1, 3], period_cap=oracles._PERIOD_SCAN_LIMIT + 1)
+    # Lowered, so that no long scan runs if the check fails.
+    monkeypatch.setattr(oracles, "_PERIOD_SCAN_LIMIT", 16)
+    t = integer_tile_check([0, 1, 8, 9], period_cap=16)
+    assert t is not None and (t.period, t.complement) == (16, (0, 2, 4, 6))
+    for cap in (17, 10**12):
+        with pytest.raises(CyclotileError, match="period cap .* budget of 16"):
+            integer_tile_check([0, 1, 8, 9], period_cap=cap)
+
+
 def test_residue_tiling_self_check():
     good = ResidueTiling(8, (0, 1, 4, 5), (0, 2))
     assert good.covers_exactly()

@@ -16,7 +16,6 @@ from cyclotile.productform import load_recipe
 from cyclotile.protasov import (
     KenyonReport,
     Vertex,
-    default_level_bound,
     fiber,
     kenyon_check,
     level_vertices,
@@ -115,13 +114,6 @@ def test_fiber_rejects_non_dividing_index():
         fiber(6, 1, 5)
 
 
-def test_default_level_bound():
-    # Past the bound every vertex index has totient above the degree.
-    for deg in (1, 5, 9, 100):
-        bound = default_level_bound(deg)
-        assert 2 ** (bound - 1) > deg
-
-
 def test_blocking_for_b4_tile():
     result = protasov_decide(4, [0, 1, 8, 9])
     assert result.status == "blocking"
@@ -139,12 +131,6 @@ def test_absent_for_b4_non_tile():
     assert result.status == "absent"
     assert result.blocking is None
     assert not result.is_tile
-
-
-def test_inconclusive_when_depth_starved():
-    result = protasov_decide(4, [0, 1, 8, 9], max_level=1)
-    assert result.status == "inconclusive"
-    assert result.blocking is None
 
 
 def test_full_residue_digits_block_at_level_one():
@@ -205,6 +191,8 @@ def test_agreement_with_divisor_tree_search():
         result = protasov_decide(4, digits)
         assert result.status in ("blocking", "absent")
         assert result.is_tile == cert.is_tile
+        # The totient check alone ends the walk: no level bound is needed.
+        assert result.stats.max_level <= max(digits).bit_length() + 1
         agreements += 1
     assert agreements >= 100
 
