@@ -8,6 +8,10 @@ and continuity cross-checks).
 Exit codes: 0 for a tile verdict or plain success, 1 for a not-tile
 verdict or a failed oracle search, 2 for usage and data errors, 3 when
 independent deciders disagree (a bug sentinel, never a user error).
+
+Each handler imports the subsystems it runs, so a process pays to load
+only what its subcommand uses: `analyze` without `--cross-check` never
+loads the residue tree, the constructions or the oracles.
 """
 
 from __future__ import annotations
@@ -18,22 +22,6 @@ import sys
 from pathlib import Path
 
 from .errors import CyclotileError
-from .oracles import (
-    absolute_continuity_check,
-    direct_sum_diagnostic,
-    integer_tile_check,
-    tile_intervals,
-)
-from .phitree import (
-    Certificate,
-    certificate_to_json,
-    decide_tile_digit_set,
-    enumerate_blockings,
-    enumerate_dividing_blockings,
-    search_dot,
-)
-from .productform import load_recipe
-from .protasov import kenyon_check, protasov_decide
 
 EXIT_TILE = 0
 EXIT_OK = 0
@@ -53,7 +41,7 @@ def _fmt_ints(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _certificate_text(cert: Certificate) -> str:
+def _certificate_text(cert) -> str:
     rep = cert.report
     lines = [
         f"base     {cert.base}",
@@ -81,12 +69,14 @@ def _certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
-def _cross_check(cert: Certificate) -> str | None:
+def _cross_check(cert) -> str | None:
     """Run the independent deciders; a returned string is a disagreement.
 
     A bounded level check that holds on a not-tile set proves nothing and
     is not flagged; the converse (tile verdict, level check fails) is.
     """
+    from .protasov import kenyon_check, protasov_decide
+
     pro = protasov_decide(cert.base, cert.digits)
     if pro.is_tile != cert.is_tile:
         return (
@@ -101,9 +91,11 @@ def _cross_check(cert: Certificate) -> str | None:
     return None
 
 
-def _emit_certificate(cert: Certificate, args, envelope: dict | None = None) -> int:
+def _emit_certificate(cert, args, envelope: dict | None = None) -> int:
     """Cross-check when asked, then print the certificate; JSON output goes
     under "certificate" after the envelope's fields when one is given."""
+    from .phitree import certificate_to_json, search_dot
+
     if args.cross_check:
         complaint = _cross_check(cert)
         if complaint is not None:
@@ -122,12 +114,17 @@ def _emit_certificate(cert: Certificate, args, envelope: dict | None = None) -> 
 
 
 def _run_analyze(args) -> int:
+    from .phitree import decide_tile_digit_set
+
     digits = _parse_digits(args.digits)
     cert = decide_tile_digit_set(args.base, digits, spectrum_cap=args.spectrum_cap)
     return _emit_certificate(cert, args)
 
 
 def _run_construct(args) -> int:
+    from .phitree import decide_tile_digit_set
+    from .productform import load_recipe
+
     built = load_recipe(args.recipe)
     cert = decide_tile_digit_set(built.base, built.digits)
     if args.format == "text":
@@ -145,6 +142,8 @@ def _run_construct(args) -> int:
 
 
 def _run_kernels(args) -> int:
+    from .phitree import enumerate_blockings, enumerate_dividing_blockings
+
     if args.digits is not None:
         digits = _parse_digits(args.digits)
         found = enumerate_dividing_blockings(args.base, digits, limit=args.limit)
@@ -172,6 +171,8 @@ def _run_kernels(args) -> int:
 
 
 def _run_geometry(args) -> int:
+    from .oracles import tile_intervals
+
     digits = _parse_digits(args.digits)
     union = tile_intervals(args.base, digits, args.depth)
     if args.format == "svg":
@@ -186,6 +187,8 @@ def _run_geometry(args) -> int:
 
 
 def _run_oracle(args) -> int:
+    from .oracles import absolute_continuity_check, direct_sum_diagnostic, integer_tile_check
+
     digits = _parse_digits(args.digits)
     tiling = integer_tile_check(digits, period_cap=args.period_cap)
     collision = continuity = None

@@ -3,24 +3,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidDigitSet, NormalizationRequired, WrongCardinality
 from .intpoly import IntPoly, _sorted_mask, _validate_digits
+from .record import FrozenRecord, setfield
 
 
-@dataclass(frozen=True)
-class DigitSet:
-    base: int
-    digits: tuple[int, ...]
+class DigitSet(FrozenRecord):
+    """A validated base and its digits, stored ascending."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, int) or self.base < 2:
-            raise InvalidDigitSet(f"base must be an integer >= 2, got {self.base!r}")
-        ordered = _validate_digits(self.digits)
+    __slots__ = ("base", "digits")
+
+    def __init__(self, base: int, digits: tuple[int, ...]) -> None:
+        if not isinstance(base, int) or base < 2:
+            raise InvalidDigitSet(f"base must be an integer >= 2, got {base!r}")
+        ordered = _validate_digits(digits)
         if not ordered:
             raise InvalidDigitSet("digit set is empty")
-        object.__setattr__(self, "digits", ordered)
+        setfield(self, "base", base)
+        setfield(self, "digits", ordered)
 
     @classmethod
     def of(cls, base: int, digits) -> "DigitSet":

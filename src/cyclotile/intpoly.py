@@ -22,27 +22,29 @@ division.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import index
 
 from .errors import InvalidDigitSet
+from .record import FrozenRecord, setfield
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class IntPoly:
+class IntPoly(FrozenRecord):
     """Integer polynomial; IntPoly(coeffs) reads coeffs[k] as the coefficient of x**k."""
 
-    _terms: tuple[tuple[int, int], ...]
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs=()) -> None:
-        object.__setattr__(self, "_terms", tuple((e, c) for e, c in enumerate(coeffs) if c))
+        setfield(self, "_terms", tuple((e, c) for e, c in enumerate(coeffs) if c))
 
     @classmethod
     def _of(cls, terms: tuple[tuple[int, int], ...]) -> "IntPoly":
         """Wrap terms that are already sorted, distinct and nonzero."""
         p = object.__new__(cls)
-        object.__setattr__(p, "_terms", terms)
+        setfield(p, "_terms", terms)
         return p
+
+    def __reduce__(self):
+        return IntPoly._of, (self._terms,)
 
     # -- construction -----------------------------------------------------
 

@@ -11,13 +11,13 @@ blocking search with the digit-count-equals-base restriction dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .digitset import DigitSet
 from .errors import CyclotileError, InvalidDigitSet
 from .intpoly import mask_polynomial
 from .phitree import blocking_search
+from .record import FrozenRecord, setfield
 from .spectra import prime_power_spectrum
 
 # Hard ceiling on the period scan, for the default cap and an explicit one
@@ -43,11 +43,13 @@ def _check_radix_budget(count: int, depth: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(FrozenRecord):
     """Disjoint nonempty closed intervals with rational endpoints, sorted."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        setfield(self, "intervals", intervals)
 
     @classmethod
     def of(cls, pairs) -> "IntervalUnion":
@@ -152,14 +154,16 @@ def direct_sum_diagnostic(base: int, digits, depth: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ResidueTiling:
+class ResidueTiling(FrozenRecord):
     """A tiling of the integers: digits + complement hits every residue
     modulo period exactly once."""
 
-    period: int
-    digits: tuple[int, ...]
-    complement: tuple[int, ...]
+    __slots__ = ("period", "digits", "complement")
+
+    def __init__(self, period: int, digits: tuple[int, ...], complement: tuple[int, ...]) -> None:
+        setfield(self, "period", period)
+        setfield(self, "digits", digits)
+        setfield(self, "complement", complement)
 
     def covers_exactly(self) -> bool:
         counts = [0] * self.period
@@ -259,14 +263,18 @@ def integer_tile_check(digits, period_cap: int | None = None) -> ResidueTiling |
     return None
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(FrozenRecord):
     """Outcome of the relaxed blocking search on an arbitrary-size mask."""
 
-    base: int
-    digits: tuple[int, ...]
-    accepted: bool
-    blocking: tuple[int, ...] | None
+    __slots__ = ("base", "digits", "accepted", "blocking")
+
+    def __init__(
+        self, base: int, digits: tuple[int, ...], accepted: bool, blocking: tuple[int, ...] | None
+    ) -> None:
+        setfield(self, "base", base)
+        setfield(self, "digits", digits)
+        setfield(self, "accepted", accepted)
+        setfield(self, "blocking", blocking)
 
 
 def absolute_continuity_check(base: int, digits) -> ContinuityReport:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .cyclo import (
     cyclotomic_product,
@@ -32,6 +31,7 @@ from .cyclo import (
 from .digitset import DigitSet
 from .errors import CertificateError, CyclotileError, InvalidBlocking, NotInTree
 from .intpoly import IntPoly
+from .record import FrozenRecord, Record, setfield
 from .spectra import MaskContext, SpectrumReport, context_report
 
 CERTIFICATE_SCHEMA = "cyclotile.certificate/1"
@@ -51,21 +51,33 @@ def children(e: int, b: int) -> tuple[int, ...]:
     return tuple(sorted(expand_indices(e, b)))
 
 
-@dataclass
-class SearchStats:
-    nodes: int = 0
-    # distinct divisibility tests the search added to the mask context
-    divisions: int = 0
-    max_depth: int = 0
-    pruned: int = 0
+class SearchStats(Record):
+    """Counters of one search; `divisions` counts the distinct divisibility
+    tests the search added to the mask context."""
+
+    __slots__ = ("nodes", "divisions", "max_depth", "pruned")
+
+    def __init__(
+        self, nodes: int = 0, divisions: int = 0, max_depth: int = 0, pruned: int = 0
+    ) -> None:
+        self.nodes = nodes
+        self.divisions = divisions
+        self.max_depth = max_depth
+        self.pruned = pruned
 
 
-@dataclass
-class SearchTrace:
-    """Explored edges and node outcomes, for rendering."""
+class SearchTrace(Record):
+    """Explored edges and node outcomes (hit/expanded/pruned), for rendering."""
 
-    status: dict[int, str] = field(default_factory=dict)  # hit/expanded/pruned
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    __slots__ = ("status", "edges")
+
+    def __init__(
+        self,
+        status: dict[int, str] | None = None,
+        edges: list[tuple[int, int]] | None = None,
+    ) -> None:
+        self.status = {} if status is None else status
+        self.edges = [] if edges is None else edges
 
 
 def blocking_search(p: IntPoly, b: int):
@@ -119,12 +131,14 @@ def _search(ctx: MaskContext, b: int):
     return blocking, stats, trace
 
 
-@dataclass(frozen=True)
-class Blocking:
+class Blocking(FrozenRecord):
     """A finite antichain of tree nodes meeting every root path once."""
 
-    base: int
-    indices: tuple[int, ...]
+    __slots__ = ("base", "indices")
+
+    def __init__(self, base: int, indices: tuple[int, ...]) -> None:
+        setfield(self, "base", base)
+        setfield(self, "indices", indices)
 
     @classmethod
     def checked(cls, base: int, indices) -> "Blocking":
@@ -271,11 +285,15 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
 # -- product-form order ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class P1Report:
-    holds: bool
-    witnesses: dict[int, int]  # root divisor -> substitution exponent
-    failing: int | None
+class P1Report(FrozenRecord):
+    """Order-1 condition; `witnesses` maps root divisor -> substitution exponent."""
+
+    __slots__ = ("holds", "witnesses", "failing")
+
+    def __init__(self, holds: bool, witnesses: dict[int, int], failing: int | None) -> None:
+        setfield(self, "holds", holds)
+        setfield(self, "witnesses", witnesses)
+        setfield(self, "failing", failing)
 
 
 def _full_divisibility_exponent(t: int, base: int, ctx: MaskContext) -> int | None:
@@ -361,19 +379,45 @@ def _order(ctx: MaskContext, base: int) -> int | None:
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass
-class Certificate:
-    """Outcome of the decision procedure, self-verifying via its kernel."""
+class Certificate(Record):
+    """Outcome of the decision procedure, self-verifying via its kernel.
 
-    base: int
-    digits: tuple[int, ...]
-    verdict: str  # "tile" or "not-tile"
-    blocking: tuple[int, ...] | None
-    order: int | None
-    report: SpectrumReport
-    stats: SearchStats | None = None
-    trace: SearchTrace | None = None
-    protasov_blocking: tuple[str, ...] | None = None
+    `verdict` is "tile" or "not-tile".
+    """
+
+    __slots__ = (
+        "base",
+        "digits",
+        "verdict",
+        "blocking",
+        "order",
+        "report",
+        "stats",
+        "trace",
+        "protasov_blocking",
+    )
+
+    def __init__(
+        self,
+        base: int,
+        digits: tuple[int, ...],
+        verdict: str,
+        blocking: tuple[int, ...] | None,
+        order: int | None,
+        report: SpectrumReport,
+        stats: SearchStats | None = None,
+        trace: SearchTrace | None = None,
+        protasov_blocking: tuple[str, ...] | None = None,
+    ) -> None:
+        self.base = base
+        self.digits = digits
+        self.verdict = verdict
+        self.blocking = blocking
+        self.order = order
+        self.report = report
+        self.stats = stats
+        self.trace = trace
+        self.protasov_blocking = protasov_blocking
 
     @property
     def is_tile(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cyclo import cyc_divides, cyclotomics_divide, divisors, expand_times
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .intpoly import IntPoly, mask_polynomial
 from .phitree import Blocking
+from .record import FrozenRecord, setfield
 
 RECIPE_SCHEMA = "cyclotile.recipe/1"
 
@@ -66,23 +66,22 @@ def _checked_exponents(exponents, parts: int, error: type[Exception]) -> tuple[i
     return exponents
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(FrozenRecord):
     """Parts plus the scale exponents applied to every part after the first."""
 
-    base: int
-    parts: tuple[tuple[int, ...], ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("base", "parts", "exponents")
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(
+        self, base: int, parts: tuple[tuple[int, ...], ...], exponents: tuple[int, ...]
+    ) -> None:
+        if base < 2:
             raise InvalidDecomposition("base must be at least 2")
-        parts = tuple(_checked_part(part) for part in self.parts)
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(_checked_part(part) for part in parts)
         if not parts:
             raise InvalidDecomposition("no parts")
-        exponents = _checked_exponents(self.exponents, len(parts), InvalidDecomposition)
-        object.__setattr__(self, "exponents", exponents)
+        setfield(self, "base", base)
+        setfield(self, "parts", parts)
+        setfield(self, "exponents", _checked_exponents(exponents, len(parts), InvalidDecomposition))
 
     @property
     def stage_exponents(self) -> tuple[int, ...]:
@@ -108,14 +107,22 @@ def validate_decomposition(dec: Decomposition) -> bool:
     return folded == IntPoly((1,) * dec.base)
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(FrozenRecord):
     """Per-stage divisor spectra, cumulative kernels, and moduli."""
 
-    base: int
-    stage_spectra: tuple[tuple[int, ...], ...]
-    kernels: tuple[tuple[int, ...], ...]
-    moduli: tuple[int, ...]
+    __slots__ = ("base", "stage_spectra", "kernels", "moduli")
+
+    def __init__(
+        self,
+        base: int,
+        stage_spectra: tuple[tuple[int, ...], ...],
+        kernels: tuple[tuple[int, ...], ...],
+        moduli: tuple[int, ...],
+    ) -> None:
+        setfield(self, "base", base)
+        setfield(self, "stage_spectra", stage_spectra)
+        setfield(self, "kernels", kernels)
+        setfield(self, "moduli", moduli)
 
     @property
     def kernel_indices(self) -> tuple[int, ...]:
@@ -155,16 +162,26 @@ def stage_kernels(dec: Decomposition) -> StageTrace:
     )
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(FrozenRecord):
     """A built digit set plus how it was put together."""
 
-    kind: str
-    digit_set: DigitSet
-    order: int
-    trace: StageTrace | None = None
-    stage_digits: tuple[tuple[int, ...], ...] | None = None
-    inner: "Construction | None" = None
+    __slots__ = ("kind", "digit_set", "order", "trace", "stage_digits", "inner")
+
+    def __init__(
+        self,
+        kind: str,
+        digit_set: DigitSet,
+        order: int,
+        trace: StageTrace | None = None,
+        stage_digits: tuple[tuple[int, ...], ...] | None = None,
+        inner: Construction | None = None,
+    ) -> None:
+        setfield(self, "kind", kind)
+        setfield(self, "digit_set", digit_set)
+        setfield(self, "order", order)
+        setfield(self, "trace", trace)
+        setfield(self, "stage_digits", stage_digits)
+        setfield(self, "inner", inner)
 
     @property
     def base(self) -> int:

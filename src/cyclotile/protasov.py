@@ -13,11 +13,12 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import total_ordering
 
 from .cyclo import euler_phi
 from .digitset import DigitSet
 from .errors import NotInTree
+from .record import FrozenRecord, Record, setfield
 from .spectra import MaskContext
 
 __all__ = [
@@ -36,12 +37,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    """A residue m at tree level k, ordered by (level, value)."""
+@total_ordering
+class Vertex(FrozenRecord):
+    """A residue m at tree level k, ordered by (level, value).
 
-    level: int
-    value: int
+    A search builds one per vertex it visits, so the comparisons and the
+    hash read the two fields directly.
+    """
+
+    __slots__ = ("level", "value")
+
+    def __init__(self, level: int, value: int) -> None:
+        setfield(self, "level", level)
+        setfield(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.level == other.level and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.value))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.value) < (other.level, other.value)
+        return NotImplemented
 
 
 def tau_index(value: int, level: int, base: int) -> int:
@@ -121,19 +142,31 @@ def fiber(base: int, level: int, index: int) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-@dataclass
-class ProtasovStats:
-    vertices: int = 0
-    divisions: int = 0
-    max_level: int = 0
+class ProtasovStats(Record):
+    __slots__ = ("vertices", "divisions", "max_level")
+
+    def __init__(self, vertices: int = 0, divisions: int = 0, max_level: int = 0) -> None:
+        self.vertices = vertices
+        self.divisions = divisions
+        self.max_level = max_level
 
 
-@dataclass
-class ProtasovResult:
-    status: str  # "blocking" | "absent"
-    base: int
-    blocking: tuple[Vertex, ...] | None
-    stats: ProtasovStats = field(default_factory=ProtasovStats)
+class ProtasovResult(Record):
+    """Outcome of the residue-tree search; `status` is "blocking" or "absent"."""
+
+    __slots__ = ("status", "base", "blocking", "stats")
+
+    def __init__(
+        self,
+        status: str,
+        base: int,
+        blocking: tuple[Vertex, ...] | None,
+        stats: ProtasovStats | None = None,
+    ) -> None:
+        self.status = status
+        self.base = base
+        self.blocking = blocking
+        self.stats = ProtasovStats() if stats is None else stats
 
     @property
     def is_tile(self) -> bool:
@@ -191,12 +224,18 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
     return ProtasovResult("blocking", base, tuple(sorted(closure)), stats)
 
 
-@dataclass(frozen=True)
-class KenyonReport:
-    holds: bool
-    witnesses: dict[int, int]  # integer -> first level whose index divides
-    failing: int | None
-    limit: int
+class KenyonReport(FrozenRecord):
+    """Level check; `witnesses` maps each integer to the first level whose index divides."""
+
+    __slots__ = ("holds", "witnesses", "failing", "limit")
+
+    def __init__(
+        self, holds: bool, witnesses: dict[int, int], failing: int | None, limit: int
+    ) -> None:
+        setfield(self, "holds", holds)
+        setfield(self, "witnesses", witnesses)
+        setfield(self, "failing", failing)
+        setfield(self, "limit", limit)
 
 
 def kenyon_check(base: int, digits, m_limit: int = 200) -> KenyonReport:

@@ -72,7 +72,6 @@ On top of the spectra sit three checks used throughout the package:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -92,6 +91,7 @@ from .cyclo import (
 from .digitset import DigitSet
 from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
+from .record import FrozenRecord, setfield
 
 # Largest polynomial degree a MaskContext accepts.  What still scales with
 # the degree is the completeness threshold's search (`phi_monotone_bound`
@@ -232,12 +232,16 @@ def prime_power_spectrum(p: IntPoly) -> tuple[int, ...]:
     return MaskContext(p).prime_powers
 
 
-@dataclass(frozen=True)
-class GeneralSpectrum:
-    indices: tuple[int, ...]
-    cap: int
-    threshold: int
-    complete: bool
+class GeneralSpectrum(FrozenRecord):
+    """Dividing indices up to `cap`; `complete` when the cap reaches the threshold."""
+
+    __slots__ = ("indices", "cap", "threshold", "complete")
+
+    def __init__(self, indices: tuple[int, ...], cap: int, threshold: int, complete: bool) -> None:
+        setfield(self, "indices", indices)
+        setfield(self, "cap", cap)
+        setfield(self, "threshold", threshold)
+        setfield(self, "complete", complete)
 
 
 def completeness_threshold(degree: int) -> int:
@@ -304,13 +308,18 @@ def _t2(ctx: MaskContext) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Prime-power spectrum shape against the base's factorization."""
+class StructureReport(FrozenRecord):
+    """Prime-power spectrum shape against the base's factorization;
+    `exponents` maps each prime of the base to its exponents in the spectrum."""
 
-    passed: bool
-    exponents: dict[int, tuple[int, ...]]  # prime -> exponents in the spectrum
-    violation: str | None
+    __slots__ = ("passed", "exponents", "violation")
+
+    def __init__(
+        self, passed: bool, exponents: dict[int, tuple[int, ...]], violation: str | None
+    ) -> None:
+        setfield(self, "passed", passed)
+        setfield(self, "exponents", exponents)
+        setfield(self, "violation", violation)
 
 
 def spectrum_structure(base: int, digits) -> StructureReport:
@@ -355,15 +364,25 @@ def _structure(base: int, spectrum: tuple[int, ...]) -> StructureReport:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Everything the certificate records about a mask's spectra."""
+class SpectrumReport(FrozenRecord):
+    """Everything the certificate records about a mask's spectra; `structure`
+    is None when the digit count differs from the base."""
 
-    prime_powers: tuple[int, ...]
-    general: GeneralSpectrum
-    t1: bool
-    t2: bool
-    structure: StructureReport | None  # None when digit count differs from base
+    __slots__ = ("prime_powers", "general", "t1", "t2", "structure")
+
+    def __init__(
+        self,
+        prime_powers: tuple[int, ...],
+        general: GeneralSpectrum,
+        t1: bool,
+        t2: bool,
+        structure: StructureReport | None,
+    ) -> None:
+        setfield(self, "prime_powers", prime_powers)
+        setfield(self, "general", general)
+        setfield(self, "t1", t1)
+        setfield(self, "t2", t2)
+        setfield(self, "structure", structure)
 
 
 def spectrum_report(base: int, digits, cap: int | None = None) -> SpectrumReport:

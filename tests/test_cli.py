@@ -5,8 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import cyclotile.cli as cli
-from cyclotile import oracles
+from cyclotile import oracles, protasov
 from cyclotile.cli import main
 
 
@@ -83,7 +82,7 @@ def test_analyze_refuses_mask_over_degree_budget(capsys):
 
 def test_disagreement_exit_code(capsys, monkeypatch):
     fake = SimpleNamespace(status="absent", is_tile=False, blocking=None)
-    monkeypatch.setattr(cli, "protasov_decide", lambda base, digits: fake)
+    monkeypatch.setattr(protasov, "protasov_decide", lambda base, digits: fake)
     code, _, err = run(
         capsys, "analyze", "--base", "4", "--digits", "0,1,8,9", "--cross-check"
     )

@@ -72,6 +72,9 @@ def test_level_vertices():
     level2 = level_vertices(6, 2)
     assert len(level2) == 30  # 36 residues minus the 6 ending in zero
     assert all(v.value % 6 != 0 for v in level2)
+    # Vertices order by (level, value), never by value alone.
+    assert sorted(reversed(level2 + level_vertices(6, 1))) == [*level_vertices(6, 1), *level2]
+    assert Vertex(1, 5) < Vertex(2, 1) <= Vertex(2, 1) < Vertex(2, 7) and Vertex(2, 7) > Vertex(1, 5)
 
 
 def test_vertex_children():
