@@ -437,13 +437,16 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
     normalization.
     """
     ds = DigitSet.for_tiling(base, digits)
-    ctx = MaskContext(ds.mask())
+    return _certify(MaskContext(ds.mask()), base, ds.digits, spectrum_cap)
+
+
+def _certify(ctx: MaskContext, base: int, digits: tuple[int, ...], cap: int | None) -> Certificate:
     blocking, stats, trace = _search(ctx, base)
-    report = context_report(ctx, base, spectrum_cap)
+    report = context_report(ctx, base, cap)
     order = _order(ctx, base) if blocking is not None else None
     return Certificate(
         base=base,
-        digits=ds.digits,
+        digits=digits,
         verdict="tile" if blocking is not None else "not-tile",
         blocking=tuple(sorted(blocking)) if blocking is not None else None,
         order=order,
@@ -456,20 +459,6 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
 def certificate_to_json(cert: Certificate, indent: int | None = None) -> str:
     """Serialize with a fixed field order and version tag."""
     return json.dumps(_payload(cert), indent=indent)
-
-
-# Fields that follow from the base and digits alone; a loaded certificate
-# must carry exactly the values that recomputing them gives.
-_DERIVED_FIELDS = (
-    "kernel",
-    "prime_power_spectrum",
-    "t1",
-    "t2",
-    "thm42",
-    "thm42_pass",
-    "thm42_violation",
-    "general_spectrum",
-)
 
 
 def _payload(cert: Certificate) -> dict:
@@ -515,21 +504,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(v) for v in value)
-
-
 def certificate_from_json(text: str) -> Certificate:
     """Parse a serialized certificate, re-verifying it rather than trusting it.
 
-    Field types are checked, and the report is recomputed with the payload's
-    general-spectrum cap.  Every load re-checks the verdict: a tile
-    certificate's blocking must be a blocking whose kernel divides the mask
-    exactly, the blocking search must find no blocking for a not-tile
-    certificate, and pk_order must equal its recomputed value (null for
-    not-tile).  Every derived field (kernel, spectra, t1, t2 and the
-    structure fields) must then equal its recomputed value.  Anything that
-    fails raises CertificateError.
+    The digit set is decided again, with the payload's general-spectrum cap,
+    and the payload must be exactly what that decision serializes to; the
+    optional fields are `search` and `protasov_blocking`, and the latter is
+    recomputed by the residue-tree route when present.  A tile certificate
+    may carry any blocking whose kernel divides the mask, not only the one
+    the search finds first; it is checked member by member on its own.
+    Anything that fails raises CertificateError.
     """
     try:
         payload = json.loads(text)
@@ -537,83 +521,59 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != CERTIFICATE_SCHEMA:
         raise CertificateError("missing or unsupported certificate schema")
-    try:
-        base = payload["base"]
-        digits = payload["digits"]
-        verdict = payload["verdict"]
-        blocking = payload["blocking"]
-        spectrum = payload["general_spectrum"]
-    except KeyError as exc:
-        raise CertificateError(f"missing field {exc}") from exc
-    order = payload.get("pk_order")
-    labels = payload.get("protasov_blocking")
+    base = payload.get("base")
+    digits = payload.get("digits")
+    spectrum = payload.get("general_spectrum")
     if not _is_int(base) or base < 2:
         raise CertificateError(f"base must be an integer >= 2, got {base!r}")
-    if not _is_int_list(digits):
+    if not (isinstance(digits, list) and all(_is_int(d) for d in digits)):
         raise CertificateError(f"digits must be a list of integers, got {digits!r}")
-    if blocking is not None and not _is_int_list(blocking):
-        raise CertificateError(f"blocking must be null or a list of integers, got {blocking!r}")
-    if order is not None and not _is_int(order):
-        raise CertificateError(f"pk_order must be null or an integer, got {order!r}")
-    if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(v, str) for v in labels)
-    ):
-        raise CertificateError("protasov_blocking must be null or a list of strings")
     if not isinstance(spectrum, dict) or not _is_int(spectrum.get("cap")):
         raise CertificateError(f"general_spectrum needs an integer cap, got {spectrum!r}")
-    if verdict not in ("tile", "not-tile"):
-        raise CertificateError(f"unknown verdict {verdict!r}")
     try:
-        ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
+        ds = DigitSet.for_tiling(base, digits)
+        ctx = MaskContext(ds.mask())
     except CyclotileError as exc:
         raise CertificateError(f"invalid digit set: {exc}") from exc
-    _verify_verdict(ctx, base, verdict, blocking, order)
-    cert = Certificate(
-        base=base,
-        digits=tuple(digits),
-        verdict=verdict,
-        blocking=tuple(blocking) if blocking is not None else None,
-        order=order,
-        report=context_report(ctx, base, spectrum["cap"]),
-        protasov_blocking=tuple(labels) if labels is not None else None,
-    )
-    _verify_derived(payload, _payload(cert))
-    return cert
-
-
-def _verify_derived(payload: dict, expected: dict) -> None:
-    for key in _DERIVED_FIELDS:
-        if key not in payload:
-            raise CertificateError(f"missing field {key!r}")
-
-    # Compared as JSON text, so that true and 1, or 2 and 2.0, differ.
-    def text(fields: dict, keys) -> str:
-        return json.dumps([fields[key] for key in keys], sort_keys=True)
-
-    if text(payload, _DERIVED_FIELDS) != text(expected, _DERIVED_FIELDS):
-        key = next(k for k in _DERIVED_FIELDS if text(payload, [k]) != text(expected, [k]))
-        raise CertificateError(f"{key} is {payload[key]!r}, but recomputes to {expected[key]!r}")
-
-
-def _verify_verdict(ctx: MaskContext, base: int, verdict: str, blocking, order) -> None:
-    if verdict == "tile":
-        if blocking is None:
-            raise CertificateError("tile verdict without a blocking")
+    cert = _certify(ctx, base, ds.digits, spectrum["cap"])
+    blocking = payload.get("blocking")
+    if (
+        payload.get("verdict") == "tile"
+        and isinstance(blocking, list)
+        and all(_is_int(e) for e in blocking)
+    ):
         try:
             blk = Blocking.checked(base, blocking)
         except InvalidBlocking as exc:
             raise CertificateError(f"invalid blocking: {exc}") from exc
         if not blk.divides(ctx.poly):
             raise CertificateError("kernel does not divide the digit mask")
-        expected = _order(ctx, base)
-    else:
-        if blocking is not None:
-            raise CertificateError("not-tile verdict with a blocking")
-        if _search(ctx, base)[0] is not None:
-            raise CertificateError("not-tile verdict, but a dividing blocking exists")
-        expected = None
-    if order != expected:
-        raise CertificateError(f"pk_order is {order!r}, but recomputes to {expected!r}")
+        if cert.is_tile:
+            cert.blocking = blk.indices
+    if "protasov_blocking" in payload:
+        from .protasov import protasov_decide
+
+        cert.protasov_blocking = protasov_decide(base, ds.digits).labels()
+    expected = _payload(cert)
+    if "search" not in payload:
+        del expected["search"]
+    if _text(payload) != _text(expected):
+        raise CertificateError(_first_difference(payload, expected))
+    return cert
+
+
+def _text(value) -> str:
+    # Compared as JSON text, so that true and 1, or 2 and 2.0, differ.
+    return json.dumps(value, sort_keys=True)
+
+
+def _first_difference(payload: dict, expected: dict) -> str:
+    for key in expected:
+        if key not in payload:
+            return f"missing field {key!r}"
+        if _text(payload[key]) != _text(expected[key]):
+            return f"{key} is {payload[key]!r}, but recomputes to {expected[key]!r}"
+    return f"unexpected field {next(k for k in payload if k not in expected)!r}"
 
 
 def search_dot(cert: Certificate) -> str:

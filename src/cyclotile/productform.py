@@ -91,13 +91,6 @@ class Decomposition(FrozenRecord):
     def scales(self) -> tuple[int, ...]:
         return tuple(self.base**e for e in self.stage_exponents)
 
-    def mask(self) -> IntPoly:
-        """Mask of the scaled direct sum, built factor by factor."""
-        out = IntPoly.one()
-        for part, scale in zip(self.parts, self.scales()):
-            out = out * mask_polynomial(part).compose_power(scale)
-        return out
-
 
 def validate_decomposition(dec: Decomposition) -> bool:
     """Do the unscaled parts sum directly onto the base residues?"""

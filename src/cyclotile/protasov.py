@@ -21,21 +21,6 @@ from .errors import NotInTree
 from .record import FrozenRecord, Record, setfield
 from .spectra import MaskContext
 
-__all__ = [
-    "Vertex",
-    "tau_index",
-    "vertex_label",
-    "parse_label",
-    "level_vertices",
-    "vertex_children",
-    "fiber",
-    "ProtasovStats",
-    "ProtasovResult",
-    "protasov_decide",
-    "KenyonReport",
-    "kenyon_check",
-]
-
 
 @total_ordering
 class Vertex(FrozenRecord):

@@ -7,6 +7,7 @@ Run with -s to see the pass lines for green runs too.
 
 import functools
 import itertools
+import json
 import math
 import random
 import time
@@ -20,6 +21,8 @@ from cyclotile import (
     absolute_continuity_check,
     build_modulo_product_form,
     build_product_form,
+    certificate_from_json,
+    certificate_to_json,
     check_p1,
     check_t1,
     children,
@@ -221,8 +224,7 @@ def _random_digit_sets(rng, base, count, top):
     return out
 
 
-@criterion(8, 300.0, "dual-route agreement plus tile-side cross checks")
-def test_criterion_08_route_agreement():
+def _criterion_08_suites():
     suites = []
     for combo in itertools.combinations(range(1, 21), 3):
         digits = (0,) + combo
@@ -232,6 +234,12 @@ def test_criterion_08_route_agreement():
     for base in (6, 8, 9, 12):
         for digits in _random_digit_sets(rng, base, 200, 500):
             suites.append((base, digits))
+    return suites
+
+
+@criterion(8, 300.0, "dual-route agreement plus tile-side cross checks")
+def test_criterion_08_route_agreement():
+    suites = _criterion_08_suites()
 
     tiles = 0
     for base, digits in suites:
@@ -248,6 +256,30 @@ def test_criterion_08_route_agreement():
             assert integer_tile_check(digits) is not None, (base, digits)
     assert len(suites) >= 800 + 100
     assert tiles >= 100, f"only {tiles} tiles reached the cross checks"
+
+
+def test_certificates_round_trip_exactly():
+    """A loaded certificate serializes back to the very text it came from."""
+    recipes = [load_recipe(path) for path in sorted(RECIPES.glob("*.json"))]
+    assert len(recipes) == 3
+    suites = _criterion_08_suites() + [(made.base, made.digits) for made in recipes]
+    assert len(suites) == 1797 + 3
+    for base, digits in suites:
+        cert = decide_tile_digit_set(base, digits)
+        for indent in (None, 2):
+            text = certificate_to_json(cert, indent=indent)
+            assert certificate_to_json(certificate_from_json(text), indent=indent) == text
+
+
+def test_any_dividing_blocking_loads():
+    """A tile certificate may carry a dividing blocking other than the one
+    the search finds first; the loader checks it and keeps it."""
+    made = load_recipe(RECIPES / "b12_first_order_variant.json")
+    second = enumerate_dividing_blockings(12, made.digits, limit=2)[1].indices
+    payload = json.loads(certificate_to_json(decide_tile_digit_set(12, made.digits)))
+    assert tuple(payload["blocking"]) != second
+    payload["blocking"] = payload["kernel"] = list(second)
+    assert certificate_from_json(json.dumps(payload)).blocking == second
 
 
 def _ordered_factorizations(n):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cyclotile import oracles, protasov
+from cyclotile import certificate_from_json, certificate_to_json, oracles, protasov
 from cyclotile.cli import main
 
 
@@ -150,6 +150,20 @@ def test_construct_cross_check_bytes_are_pinned(capsys, recipe):
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == CROSS_CHECK_DIGESTS[recipe]
+
+
+def test_cross_checked_certificate_round_trips(capsys):
+    """The residue-tree labels are recomputed on load, so the certificate
+    serializes back to the bytes the command printed."""
+    code, out, _ = run(
+        capsys, "analyze", "--base", "4", "--digits", "0,1,8,9", "--cross-check", "--format", "json"
+    )
+    assert code == 0
+    cert = certificate_from_json(out)
+    assert cert.protasov_blocking
+    assert certificate_to_json(cert, indent=2) + "\n" == out
+    text = certificate_to_json(cert)
+    assert certificate_to_json(certificate_from_json(text)) == text
 
 
 def test_construct_missing_file(capsys):

@@ -390,6 +390,11 @@ def _tile_payload(**fields) -> str:
         {"general_spectrum": {"indices": [2], "cap": 30, "threshold": 30, "complete": True}},
         {"general_spectrum": {"indices": [2, 16], "cap": "30", "threshold": 30, "complete": True}},
         {"general_spectrum": None},
+        {"search": {"nodes": -5, "divisions": "x"}},
+        {"protasov_blocking": ["zz"]},
+        {"bogus": 1},
+        {"blocking": [2, 2, 16], "kernel": [2, 2, 16]},
+        {"blocking": [16, 2], "kernel": [16, 2]},
     ],
     ids=[
         "flipped-verdict",
@@ -408,11 +413,35 @@ def _tile_payload(**fields) -> str:
         "wrong-general-indices",
         "string-cap",
         "null-general-spectrum",
+        "tampered-search",
+        "garbage-protasov-labels",
+        "unknown-field",
+        "repeated-blocking-member",
+        "unsorted-blocking",
     ],
 )
 def test_tampered_certificate_raises_certificate_error(fields):
     with pytest.raises(CertificateError):
         certificate_from_json(_tile_payload(**fields))
+
+
+def test_not_tile_certificate_with_residue_labels_is_refused():
+    payload = json.loads(certificate_to_json(decide_tile_digit_set(4, [0, 1, 4, 5])))
+    payload["protasov_blocking"] = ["1", "3"]
+    with pytest.raises(CertificateError, match="protasov_blocking"):
+        certificate_from_json(json.dumps(payload))
+
+
+def test_certificate_without_search_still_loads():
+    payload = json.loads(certificate_to_json(decide_tile_digit_set(4, [0, 1, 8, 9])))
+    del payload["search"]
+    back = certificate_from_json(json.dumps(payload))
+    assert back.is_tile and back.blocking == (2, 16)
+
+
+def test_loaded_certificate_renders_its_search():
+    cert = decide_tile_digit_set(4, [0, 1, 4, 5])
+    assert search_dot(certificate_from_json(certificate_to_json(cert))) == search_dot(cert)
 
 
 def test_certificate_keeps_its_spectrum_cap():
