@@ -27,7 +27,7 @@ from .intpoly import IntPoly, divide_exact
 
 
 # Bounded caches.  A 55 s run of the benchmark's corpus workload creates
-# 1,581 factorize keys, 8 cyclotomic keys and 214 root-of-unity keys; the
+# 520 factorize keys, 8 cyclotomic keys and 106 root-of-unity keys; the
 # test suite's brute-force factoring of cyclotomic substitutions creates
 # 155 cyclotomic keys.  A mask with many terms and a large degree cycles
 # through more keys and recomputes the oldest.
@@ -273,11 +273,12 @@ def cyc_divides(s: int, p: IntPoly) -> bool:
     count of p times 2**(number of primes of s), not with s or the degree.
 
     This is the exact oracle.  `spectra.MaskContext.divides` calls it only
-    for indices that pass two cheaper reject-only stages: a partner test
+    for indices that pass three cheaper reject-only stages: a partner test
     that proves non-divisibility from p's exponents modulo a reduced index
     alone (Mann, Mathematika 12, 1965; Conway and Jones, Acta Arith. 30,
-    1976), and an evaluation of p at a root of unity modulo a prime (see
-    `modular_root_of_unity`).  The arguments are in the `spectra` module
+    1976), a prime-split test on p's exponents modulo powers of the small
+    primes (de Bruijn, Indag. Math. 15, 1953), and an evaluation of p at a
+    root of unity modulo a prime (see `modular_root_of_unity`).  The arguments are in the `spectra` module
     docstring.
     """
     if p.is_zero:

@@ -3,10 +3,10 @@
 The prime-power spectrum of a mask P collects the prime powers q > 1 whose
 cyclotomic divides P; the general spectrum collects all indices up to a cap.
 Both read one finite candidate set, `MaskContext.candidates`: every s <= T
-that passes the partner stage below.  T, the completeness threshold, is the
-largest s with euler_phi(s) <= degree(P); the s-th cyclotomic has degree
-euler_phi(s), so nothing above T divides.  Every s that divides passes the
-partner stage, so every s that divides is a candidate.
+that passes the partner and prime-split stages below.  T, the completeness
+threshold, is the largest s with euler_phi(s) <= degree(P); the s-th
+cyclotomic has degree euler_phi(s), so nothing above T divides.  Every s
+that divides passes both stages, so every s that divides is a candidate.
 
 The candidates have a closed form.  Let n be the term count of P, M the
 product of the primes <= n, and u = s / gcd(s, M).  The partner stage
@@ -18,11 +18,14 @@ product of distinct primes of M that do not divide u.  So the candidates
 are, for each partnered u that divides a gap from the first exponent, the
 indices u * gcd(u, M) * m' up to T.  A lacunary mask tests divisors of a
 few gaps, not a range of indices, and no index that the partner stage
-rejects is ever formed.
+rejects is ever formed.  In u's family each prime p of gcd(u, M) divides
+s exactly v_p(u) + 1 times and each prime of m' once, so the prime-split
+stage drops the whole family when some such p is blocked at v_p(u) + 1,
+and a prime blocked at exponent 1 never enters m'.
 
-Every index s meets two exact, reject-only stages before the exact
-`cyc_divides`; an index either stage rejects cannot divide, and an index
-that passes both still goes to the exact test.
+Every index s meets three exact, reject-only stages before the exact
+`cyc_divides`; an index any stage rejects cannot divide, and an index that
+passes all three still goes to the exact test.
 
 The partner stage, `MaskContext.may_vanish`, is built on Mann's theorem
 (Mathematika 12, 1965; refined by Conway and Jones, Acta Arith. 30, 1976):
@@ -44,6 +47,36 @@ context answers it once per u, and the candidate set asks it before it
 forms any index that reduces to u.  A monomial has no partner and no
 cyclotomic factor.  The stage costs O(terms) per u and factors nothing, so
 a lacunary mask pays for its term count, not its degree.
+
+The prime-split stage, `MaskContext.may_vanish_split`, is de Bruijn's
+basis argument (Indag. Math. 15, 1953; Lam and Leung, J. Algebra 224,
+2000).  Call (p, a), for a prime p and a >= 1, blocked
+(`MaskContext.split_blocked`) when inside some residue class of the
+exponents modulo p**(a - 1), one of the p sub-classes modulo p**a is empty
+and another holds a single term.  Then no s with p**a exactly dividing s
+has its cyclotomic dividing P.
+
+Proof.  Let z be a primitive s-th root of unity and t = s / p.  When p
+divides t, 1, z, ..., z**(p - 1) are a basis of Q(z) over Q(z**p), whose
+degree is euler_phi(s) / euler_phi(t) = p; P(z) collects its terms by
+exponent modulo p into those basis vectors, so P(z) = 0 makes each class
+modulo p vanish at z on its own.  Repeating this a - 1 times, each class C
+modulo p**(a - 1) vanishes at z.  Now write z = y * x with y of order p**a
+and x of order s / p**a, prime to p, and w = y**(p**(a - 1)), a primitive
+p-th root of unity.  With e = r + j * p**(a - 1) (mod p**a) for e in C, the
+sum over C is y**r times sum_j w**j * Q_j(x), where Q_j(x) in Q(x) sums
+the terms of the j-th sub-class at x.  p does not divide the order of x,
+so 1 + X + ... + X**(p - 1) stays the minimal polynomial of w over Q(x),
+and the sum vanishes exactly when all the Q_j(x) are equal.  An empty
+sub-class makes them all 0, and a single term is never 0.  A class
+modulo p**(a - 1) that holds one term has p - 1 empty sub-classes, so the
+rule covers that case too.
+
+Mann's partner stage cannot see these residues: its u divides the primes
+of M out of s.  For a prime p outside M, p**a divides u, and a partner
+for every exponent modulo u leaves no single term in any class modulo
+p**a; so the stage asks only the primes of M.  It is memoized per prime
+power and costs O(terms) per power.
 
 The modular stage, `MaskContext.may_vanish_mod_prime`, evaluates P at a
 root of unity modulo a prime (in the spirit of Lam and Leung, J. Algebra
@@ -71,7 +104,6 @@ On top of the spectra sit three checks used throughout the package:
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -102,20 +134,23 @@ MAX_MASK_DEGREE = 10**6
 
 
 def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, ...]:
-    """Every s in 2..threshold that passes `ctx.may_vanish`, ascending, in
-    closed form (module docstring).  `primes` are the primes of M.  Each
-    u divides a gap from the first exponent; u * gcd(u, M) is the least
-    index that reduces to u, and it asks the partner test of u.  The
-    products of distinct primes of M that do not divide u are built prime
-    by prime, so no product above the threshold is ever formed."""
+    """Every s in 2..threshold that passes `ctx.may_vanish` and
+    `ctx.may_vanish_split`, ascending, in closed form (module docstring).
+    `primes` are the primes of M.  Each u divides a gap from the first
+    exponent; u * gcd(u, M) is the least index that reduces to u, and it
+    asks the partner test of u and the prime-split test of each prime of u,
+    whose exponent is the same in every index of the family.  The products
+    of distinct primes of M that do not divide u are built prime by prime,
+    only from primes the prime-split test lets in at exponent 1, so no
+    product above the threshold is ever formed."""
     found = []
     for u in {d for gap in ctx._gaps_from_first for d in divisors(gap)}:
         low = u * gcd(u, ctx._primorial)
-        if low > threshold or not ctx.may_vanish(low):
+        if low > threshold or not ctx.may_vanish(low) or not ctx.may_vanish_split(low):
             continue
         family = [low]
         for p in primes:
-            if u % p:
+            if u % p and not ctx.split_blocked(p, 1):
                 family += [s * p for s in family if s * p <= threshold]
         found += family
     return tuple(sorted(s for s in found if s > 1))
@@ -127,13 +162,15 @@ class MaskContext:
     Every layer of a decision asks the same question many times: does the
     s-th cyclotomic divide the mask?  They all ask through one context, so
     each index is tested once; `tests` counts the distinct indices tested.
-    An index meets three stages (module docstring), and each distinct index
+    An index meets four stages (module docstring), and each distinct index
     is counted by the one that decides it: `partner_rejections` for the
-    partner test `may_vanish`, `modular_rejections` for the evaluation
-    modulo a prime, and `exact_tests` for the exact `cyc_divides`; the
-    three add up to `tests`.  The threshold, the candidates and the
-    prime-power spectrum are computed on first use, so a context that only
-    searches never computes them.
+    partner test `may_vanish`, `split_rejections` for the prime-split test
+    `may_vanish_split`, `modular_rejections` for the evaluation modulo a
+    prime, and `exact_tests` for the exact `cyc_divides`; the four add up
+    to `tests`.  The threshold, the candidates, the prime-power spectrum,
+    the prime-split table and the modular stage's Horner scheme are built
+    on first use, so a context that only searches never computes most of
+    them.
     """
 
     def __init__(self, p: IntPoly):
@@ -147,20 +184,17 @@ class MaskContext:
         self.degree: int = p.degree
         self.tests = 0
         self.partner_rejections = 0
+        self.split_rejections = 0
         self.modular_rejections = 0
         self.exact_tests = 0
         self._divides: dict[int, bool] = {}
         self._partnered: dict[int, bool] = {}
-        terms = p.terms()
-        self._exponents = [e for e, _ in terms]
-        self._primorial = primorial(len(terms))
+        self._split: dict[tuple[int, int], bool] = {}
+        self._exponents = [e for e, _ in p.terms()]
+        self._primorial = primorial(len(self._exponents))
+        self._primes = prime_factors(self._primorial)
         first = self._exponents[0]
         self._gaps_from_first = tuple(e - first for e in self._exponents[1:])
-        # Horner's scheme for P / x**first from the top term down: each
-        # coefficient with the gap to the next exponent (0 for the top one).
-        steps = [b - a for a, b in zip(self._exponents, self._exponents[1:])] + [0]
-        self._horner = tuple(zip((c for _, c in terms), steps))[::-1]
-        self._steps = frozenset(steps)
 
     def may_vanish(self, s: int) -> bool:
         """Mann's necessary condition for the s-th cyclotomic to divide the
@@ -171,9 +205,57 @@ class MaskContext:
         u = s // gcd(s, self._primorial)
         hit = self._partnered.get(u)
         if hit is None:
-            counts = Counter(e % u for e in self._exponents)
-            hit = self._partnered[u] = 1 not in counts.values()
+            hit = self._partnered[u] = not self._residues(u)[1]
         return hit
+
+    def _residues(self, m: int) -> tuple[set[int], set[int]]:
+        """The residues of the exponents modulo m, and those of them that
+        hold a single exponent."""
+        seen, repeated = set(), set()
+        for e in self._exponents:
+            k = e % m
+            (repeated if k in seen else seen).add(k)
+        return seen, seen - repeated
+
+    def split_blocked(self, p: int, a: int) -> bool:
+        """True when, inside some residue class of the exponents modulo
+        p**(a - 1), one of the p sub-classes modulo p**a is empty and
+        another holds a single term: then no s-th cyclotomic with p**a
+        exactly dividing s divides the polynomial (module docstring)."""
+        hit = self._split.get((p, a))
+        if hit is None:
+            seen, single = self._residues(p**a)
+            r = p ** (a - 1)
+            occupied: dict[int, int] = {}
+            for k in seen:
+                occupied[k % r] = occupied.get(k % r, 0) + 1
+            hit = self._split[p, a] = any(occupied[k % r] < p for k in single)
+        return hit
+
+    def may_vanish_split(self, s: int) -> bool:
+        """`split_blocked` at every prime p of M that divides s, with a the
+        exponent of p in s.
+
+        False proves that the s-th cyclotomic does not divide; True decides
+        nothing.
+        """
+        for p in self._primes:
+            if s % p == 0:
+                a, s = 1, s // p
+                while s % p == 0:
+                    a, s = a + 1, s // p
+                if self.split_blocked(p, a):
+                    return False
+        return True
+
+    @cached_property
+    def _horner(self) -> tuple[tuple[tuple[int, int], ...], frozenset[int]]:
+        """Horner's scheme for P / x**e_0 from the top term down: each
+        coefficient with the gap to the next exponent (0 for the top one),
+        and the set of those gaps."""
+        exps = self._exponents
+        steps = [b - a for a, b in zip(exps, exps[1:])] + [0]
+        return tuple(zip((c for _, c in self.poly.terms()), steps))[::-1], frozenset(steps)
 
     def may_vanish_mod_prime(self, s: int) -> bool:
         """The polynomial vanishes at a root of the s-th cyclotomic modulo a
@@ -186,9 +268,10 @@ class MaskContext:
         if root is None:
             return True
         ell, w = root
-        power = {g: pow(w, g % s, ell) for g in self._steps}
+        horner, steps = self._horner
+        power = {g: pow(w, g % s, ell) for g in steps}
         acc = 0
-        for c, g in self._horner:
+        for c, g in horner:
             acc = (acc * power[g] + c) % ell
         return acc == 0
 
@@ -198,6 +281,9 @@ class MaskContext:
             self.tests += 1
             if not self.may_vanish(s):
                 self.partner_rejections += 1
+                hit = False
+            elif not self.may_vanish_split(s):
+                self.split_rejections += 1
                 hit = False
             elif euler_phi(s) <= self.degree and not self.may_vanish_mod_prime(s):
                 self.modular_rejections += 1
@@ -215,10 +301,11 @@ class MaskContext:
 
     @cached_property
     def candidates(self) -> tuple[int, ...]:
-        """Every index in 2..threshold that passes `may_vanish`, ascending: for
-        each partnered u dividing a gap from the first exponent, the indices
-        u * gcd(u, M) * m' (module docstring)."""
-        return _candidate_indices(self, prime_factors(self._primorial), self.threshold)
+        """Every index in 2..threshold that passes `may_vanish` and
+        `may_vanish_split`, ascending: for each partnered u dividing a gap
+        from the first exponent, the indices u * gcd(u, M) * m' that the
+        prime-split test lets through (module docstring)."""
+        return _candidate_indices(self, self._primes, self.threshold)
 
     @cached_property
     def prime_powers(self) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cyclotile import certificate_from_json, certificate_to_json, oracles, protasov
+from cyclotile import certificate_from_json, certificate_to_json, oracles, phitree, protasov
 from cyclotile.cli import main
 
 
@@ -202,6 +202,21 @@ def test_kernels_refuses_limit_below_one(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "limit must be at least 1" in err
+
+
+def test_kernels_max_degree_budget(capsys, monkeypatch):
+    # Base 6 has 8,051 blockings up to degree 800 and more than
+    # MAX_BLOCKINGS beyond; the enumeration stops instead of running on.
+    code, out, err = run(capsys, "kernels", "--base", "6", "--max-degree", str(10**9))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget of 10000" in err
+    # At the budget the listing is complete; one blocking more is refused.
+    monkeypatch.setattr(phitree, "MAX_BLOCKINGS", 3)
+    code, out, _ = run(capsys, "kernels", "--base", "4", "--max-degree", "9")
+    assert code == 0 and len(out.splitlines()) == 3
+    monkeypatch.setattr(phitree, "MAX_BLOCKINGS", 2)
+    code, out, err = run(capsys, "kernels", "--base", "4", "--max-degree", "9")
+    assert code == 2 and out == "" and "budget of 2" in err
 
 
 def test_geometry_text(capsys):

@@ -15,6 +15,7 @@ from cyclotile.cyclo import (
 )
 from cyclotile.errors import CyclotileError, WrongCardinality
 from cyclotile.intpoly import IntPoly, mask_polynomial
+from cyclotile.productform import load_recipe
 from cyclotile.spectra import (
     MAX_MASK_DEGREE,
     MaskContext,
@@ -26,6 +27,7 @@ from cyclotile.spectra import (
     spectrum_report,
     spectrum_structure,
 )
+from test_acceptance import RECIPES, _criterion_08_suites
 
 
 def brute_is_prime_power(q):
@@ -279,25 +281,57 @@ def test_spectra_match_brute_scan():
     assert complete == 60
 
 
+def split_rule(exponents, p, a):
+    """Reference copy of the prime-split rule: (i) a >= 2 and some class of
+    the exponents modulo p**(a - 1) holds a single term, or (ii) inside some
+    class modulo p**(a - 1) one of the p sub-classes modulo p**a is empty
+    and another holds a single term."""
+    classes = {}
+    for e in exponents:
+        classes.setdefault(e % p ** (a - 1), []).append(e)
+    for members in classes.values():
+        if a >= 2 and len(members) == 1:
+            return True
+        sub = Counter(e % p**a for e in members)
+        if len(sub) < p and 1 in sub.values():
+            return True
+    return False
+
+
 def gap_product_candidates(p):
     """Reference copy of the earlier candidate set, filtered by the partner
-    test: every s in 2..threshold of the form d * m, with d a divisor of a
-    gap from the first exponent and m a product of distinct primes <= the
-    term count."""
+    test and the prime-split rule: every s in 2..threshold of the form
+    d * m, with d a divisor of a gap from the first exponent and m a
+    product of distinct primes <= the term count."""
     ctx = MaskContext(p)
     exponents = [e for e, _ in p.terms()]
     found = {1}
     for e in exponents[1:]:
         found.update(d for d in divisors(e - exponents[0]) if d <= ctx.threshold)
-    for q in range(2, len(exponents) + 1):
-        if all(q % r for r in range(2, q)):
-            found.update([s * q for s in found if s * q <= ctx.threshold])
-    return tuple(s for s in sorted(found) if s > 1 and ctx.may_vanish(s))
+    primes = [q for q in range(2, len(exponents) + 1) if all(q % r for r in range(2, q))]
+    for q in primes:
+        found.update([s * q for s in found if s * q <= ctx.threshold])
+
+    blocked = {}
+
+    def split_passes(s):
+        for q in primes:
+            a = 0
+            while s % q ** (a + 1) == 0:
+                a += 1
+            if a:
+                if (q, a) not in blocked:
+                    blocked[q, a] = split_rule(exponents, q, a)
+                if blocked[q, a]:
+                    return False
+        return True
+
+    return tuple(s for s in sorted(found) if s > 1 and ctx.may_vanish(s) and split_passes(s))
 
 
 def test_candidates_are_the_partnered_gap_products():
     """The closed form yields exactly the earlier candidates that pass the
-    partner test, on dense, lacunary and many-term polynomials, half with
+    partner test and the prime-split rule, on dense, lacunary and many-term polynomials, half with
     a planted Phi_m(x**c), and on a monomial and a constant."""
     polys = [IntPoly.x_power(9, 2), IntPoly.x_power(0, -5)]
     polys += _planted_polynomials(73, 150)
@@ -367,7 +401,7 @@ def test_partner_test_middle_singleton():
 
 
 def test_modular_stage_never_rejects_a_divisor():
-    """The evaluation modulo a prime only rejects, and the three stage
+    """The evaluation modulo a prime only rejects, and the four stage
     counters of a context add up to its distinct tests."""
     divisible = rejected = 0
     for p, indices in _mixed_polynomials(67, 150):
@@ -382,18 +416,74 @@ def test_modular_stage_never_rejects_a_divisor():
             rejected += not modular
             if not ctx.may_vanish(s):
                 counts["partner"] += 1
+            elif not ctx.may_vanish_split(s):
+                counts["split"] += 1
             elif euler_phi(s) <= p.degree and not modular:
                 counts["modular"] += 1
             else:
                 counts["exact"] += 1
             assert ctx.divides(s) == exact, (p, s)
         assert ctx.tests == len(indices)
-        assert (ctx.partner_rejections, ctx.modular_rejections, ctx.exact_tests) == (
-            counts["partner"],
-            counts["modular"],
-            counts["exact"],
+        stages = (
+            ctx.partner_rejections,
+            ctx.split_rejections,
+            ctx.modular_rejections,
+            ctx.exact_tests,
         )
+        assert stages == (counts["partner"], counts["split"], counts["modular"], counts["exact"])
+        assert sum(stages) == ctx.tests
     assert divisible > 150 and rejected > 10_000
     # Past the Miller-Rabin bound there is no prime to work modulo, and the
     # stage lets the index through.
     assert MaskContext(mask_polynomial([0, 1])).may_vanish_mod_prime(MILLER_RABIN_LIMIT)
+
+
+def test_split_stage_never_rejects_a_divisor():
+    """No index that the prime-split stage rejects is divided by its
+    cyclotomic.  Every s up to min(threshold, 2500) on a seeded sample of
+    the criterion-08 masks, on the recipes and on mixed polynomials with a
+    planted Phi_m(x**c)."""
+    rng = random.Random(83)
+    suites = _criterion_08_suites()
+    masks = [mask_polynomial(digits) for _, digits in rng.sample(suites, 120)]
+    masks += [mask_polynomial(load_recipe(path).digits) for path in sorted(RECIPES.glob("*.json"))]
+    masks += [p for p, _ in _mixed_polynomials(89, 90)]
+    pairs = rejected = 0
+    for p in masks:
+        ctx = MaskContext(p)
+        # The threshold is at least degree + 1, whose totient is at most
+        # the degree; a large one is not computed.
+        top = 2500 if p.degree >= 2499 else min(ctx.threshold, 2500)
+        for s in range(2, top + 1):
+            pairs += 1
+            if not ctx.may_vanish_split(s):
+                rejected += 1
+                assert not cyc_divides(s, p), (p, s)
+    assert len(masks) == 120 + 3 + 90
+    assert pairs > 100_000 and rejected > 10_000
+
+
+@pytest.mark.parametrize(
+    "digits, s",
+    [
+        # 1 + 2w at a primitive sixth root w: modulo 7, w = 3 makes it 0.
+        # Modulo 3 the exponents fall in classes {0} and {1, 7}, and the
+        # class of 2 is empty, so 3 || 6 is blocked.
+        ((0, 1, 7), 6),
+        # Modulo 9, the exponents 0, 3 and 2, 5 fill two of the three
+        # sub-classes of their classes modulo 3, one term each: 9 || 18 is
+        # blocked.
+        ((0, 2, 3, 14), 18),
+    ],
+)
+def test_only_the_split_stage_rejects(digits, s):
+    """The partner stage passes s and the modular stage would let it
+    through; the prime-split stage rejects it, once with v_p(s) = 1 and
+    once with v_p(s) = 2."""
+    p = mask_polynomial(digits)
+    ctx = MaskContext(p)
+    assert euler_phi(s) <= p.degree
+    assert ctx.may_vanish(s) and ctx.may_vanish_mod_prime(s)
+    assert not ctx.may_vanish_split(s) and not cyc_divides(s, p)
+    assert not ctx.divides(s)
+    assert (ctx.tests, ctx.split_rejections) == (1, 1)
