@@ -326,40 +326,77 @@ def cyclotomics_divide(indices, p: IntPoly) -> bool:
 
 @lru_cache(maxsize=256)
 def phi_monotone_bound(limit: int) -> int:
-    """Largest s with euler_phi(s) <= limit.
+    """Largest s with euler_phi(s) <= limit; limit + 1 must be below
+    MILLER_RABIN_LIMIT.
 
-    Maximizes s = prod p**a over prime factorizations whose totient fits
-    the budget.  Flooring the budget at each factor keeps feasibility exact
-    (floor(d / a) >= b iff a * b <= d), and only primes with p - 1 <= limit
-    can appear.  Both the prime sieve and the search grow with the limit:
-    at limit 10**6 the search makes about 1.9 million recursive calls,
-    nearly all the time a certificate for the digits {0, 1, 10**6} takes.
+    Branch and bound over factorizations s = prod p**a, depth first over
+    primes in ascending order.  A node is (v, budget, p_min): v's primes all
+    lie below p_min, and budget = limit // euler_phi(v), flooring at each
+    factor, which keeps feasibility exact (floor(d / a) >= b iff a * b <= d).
+    Every node's v is a candidate answer, and so is v * q, with q the
+    largest prime in [p_min, budget + 1].
+
+    Bound: an extension v * m whose primes r_1 < ... < r_k are all >= p has
+    euler_phi(m) <= budget, so prod (r_i - 1) <= budget, and
+    m = euler_phi(m) * prod r_i / (r_i - 1).  The consecutive primes
+    q_1 = p < q_2 < ... satisfy q_i <= r_i, so k is at most the largest K
+    with prod_{i <= K} (q_i - 1) <= budget, and
+    m <= budget * prod_{i <= K} q_i / (q_i - 1).  That bound falls as p
+    grows, so the walk over p stops at the first p whose bound cannot beat
+    the best s found so far.  It compares in integers.
+
+    Cost: the consecutive primes come from `is_prime` and stay few (at most
+    561, up to 4073, over 300 random limits below 2**63), and finding q
+    walks down one prime gap.  About 60 nodes settle a limit near 500, 400
+    settle 10**6 and a few thousand settle limits near 2**62 (about 30 ms):
+    the node count grows far slower than the limit, and nothing is sized
+    by it.
     """
     if limit < 1:
         return 1
-    composite = bytearray(limit + 2)
-    primes = []
-    for p in range(2, limit + 2):
-        if not composite[p]:
-            primes.append(p)
-            for m in range(p * p, limit + 2, p):
-                composite[m] = 1
+    primes = [2, 3]
     best = 1
 
-    def grow(i: int, value: int, budget: int) -> None:
+    def search(i: int, v: int, budget: int) -> None:
+        # The node (v, budget, primes[i]).
         nonlocal best
-        if value > best:
-            best = value
-        for j in range(i, len(primes)):
+        if v > best:
+            best = v
+        j = i
+        while True:
+            # The bound reads primes[j : j + K + 1], and K is at most
+            # budget.bit_length(): every prime but 2 at least doubles the
+            # product of the (q_i - 1).
+            while len(primes) <= j + budget.bit_length():
+                n = primes[-1] + 2
+                while not is_prime(n):
+                    n += 2
+                primes.append(n)
             p = primes[j]
             if p - 1 > budget:
-                break
-            v, b = value * p, budget // (p - 1)
-            while True:
-                grow(j + 1, v, b)
-                if b < p:
-                    break
-                v, b = v * p, b // p
+                return
+            num = den = 1
+            k = j
+            while den * (primes[k] - 1) <= budget:
+                num *= primes[k]
+                den *= primes[k] - 1
+                k += 1
+            if v * budget * num <= best * den:
+                return
+            if j == i and v * (budget + 1) > best:
+                # The candidate v * q; p itself is a prime in range.
+                q = budget + 1
+                while not is_prime(q):
+                    q -= 1
+                if v * q > best:
+                    best = v * q
+                if v * budget * num <= best * den:
+                    return
+            power, phi = p, p - 1
+            while phi <= budget:
+                search(j + 1, v * power, budget // phi)
+                power, phi = power * p, phi * p
+            j += 1
 
-    grow(0, 1, limit)
+    search(0, 1, limit)
     return best

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 
 from .cyclo import (
     cyclotomic_product,
@@ -225,10 +226,10 @@ def refine_blocking(blocking: Blocking, d: int) -> Blocking:
 
 
 # Most blockings `enumerate_blockings` lists.  The count grows about 5x
-# and the time about 6x per doubling of the degree: base 12 has 3,774
-# blockings up to degree 800, listed in 0.6 s, and base 6 has 8,051, in
-# 1 s.  A blocking with more members costs more: base 60 reaches the
-# budget in about 4 s.  Past it the enumeration stops with CyclotileError.
+# per doubling of the degree: base 12 has 3,774 blockings up to degree
+# 800, listed in 0.2 s, and base 6 has 8,051, in 0.4 s.  A blocking with
+# more members costs more to refine: base 60 reaches the budget in about
+# 1.2 s.  Past it the enumeration stops with CyclotileError.
 MAX_BLOCKINGS = 10_000
 
 
@@ -241,26 +242,31 @@ def enumerate_blockings(base: int, max_degree: int) -> list[Blocking]:
     once more than MAX_BLOCKINGS are found.
     """
     start = Blocking(base, root_indices(base))
-    out: list[Blocking] = []
+    out: list[tuple[int, Blocking]] = []
     seen = {start.indices}
-    queue = [start]
+    queue = deque([(start.kernel_degree, start)])
     while queue:
-        current = queue.pop(0)
-        if current.kernel_degree > max_degree:
+        degree, current = queue.popleft()
+        if degree > max_degree:
             continue
-        out.append(current)
+        out.append((degree, current))
         if len(out) > MAX_BLOCKINGS:
             raise CyclotileError(
                 f"blockings of kernel degree at most {max_degree} exceed the budget of "
                 f"{MAX_BLOCKINGS}"
             )
         for d in current.indices:
+            # The children of d have degrees summing to base * euler_phi(d),
+            # the degree of the d-th cyclotomic with x replaced by x**base.
+            refined_degree = degree + (base - 1) * euler_phi(d)
+            if refined_degree > max_degree:
+                continue
             refined = refine_blocking(current, d)
             if refined.indices not in seen:
                 seen.add(refined.indices)
-                queue.append(refined)
-    out.sort(key=lambda blk: (blk.kernel_degree, blk.indices))
-    return out
+                queue.append((refined_degree, refined))
+    out.sort(key=lambda pair: (pair[0], pair[1].indices))
+    return [blk for _, blk in out]
 
 
 def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Blocking]:

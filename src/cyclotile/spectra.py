@@ -125,11 +125,16 @@ from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
 from .record import FrozenRecord, setfield
 
-# Largest polynomial degree a MaskContext accepts.  What still scales with
-# the degree is the completeness threshold's search (`phi_monotone_bound`
-# sieves the primes up to the degree).  At this degree a three-digit
-# `analyze` takes seconds; a larger mask is refused with CyclotileError
-# before it runs.
+# Largest polynomial degree a MaskContext accepts; a larger mask is refused
+# with CyclotileError before it runs.  The completeness threshold no longer
+# scales with the degree (`phi_monotone_bound` is a branch and bound, about
+# 1 ms at 10**6), but two costs still do.  `cyclo.factorize` factors every
+# gap between exponents by trial division, which grows with the square root
+# of a gap's largest prime factor: a three-digit mask whose gap is a prime
+# near 10**14 takes 0.8 s, and one near 2**62 would take minutes.  And a
+# mask with many terms has many candidates for the modular stage: base 60
+# with the digits 0..58 and 10**7 takes 5.7 s.  The budget stays until it
+# is replaced by one on those costs.
 MAX_MASK_DEGREE = 10**6
 
 
@@ -190,6 +195,7 @@ class MaskContext:
         self._divides: dict[int, bool] = {}
         self._partnered: dict[int, bool] = {}
         self._split: dict[tuple[int, int], bool] = {}
+        self._candidate_set: frozenset[int] = frozenset()
         self._exponents = [e for e, _ in p.terms()]
         self._primorial = primorial(len(self._exponents))
         self._primes = prime_factors(self._primorial)
@@ -279,10 +285,13 @@ class MaskContext:
         hit = self._divides.get(s)
         if hit is None:
             self.tests += 1
-            if not self.may_vanish(s):
+            # A candidate passed the partner and prime-split stages when
+            # `candidates` was built.
+            passed = s in self._candidate_set
+            if not (passed or self.may_vanish(s)):
                 self.partner_rejections += 1
                 hit = False
-            elif not self.may_vanish_split(s):
+            elif not (passed or self.may_vanish_split(s)):
                 self.split_rejections += 1
                 hit = False
             elif euler_phi(s) <= self.degree and not self.may_vanish_mod_prime(s):
@@ -305,7 +314,9 @@ class MaskContext:
         `may_vanish_split`, ascending: for each partnered u dividing a gap
         from the first exponent, the indices u * gcd(u, M) * m' that the
         prime-split test lets through (module docstring)."""
-        return _candidate_indices(self, self._primes, self.threshold)
+        found = _candidate_indices(self, self._primes, self.threshold)
+        self._candidate_set = frozenset(found)
+        return found
 
     @cached_property
     def prime_powers(self) -> tuple[int, ...]:

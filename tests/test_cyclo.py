@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -250,10 +251,56 @@ def test_cyclotomics_divide():
     assert not cyclotomics_divide([2, 3], lacunary)
 
 
+def sieve_phi_bounds(limit):
+    """Oracle: the prime-sieve search phi_monotone_bound used before its
+    branch and bound.  It walks every s with euler_phi(s) <= limit, as
+    products of prime powers over a sieve of the primes up to limit + 1,
+    and returns a table whose entry N is the largest s with
+    euler_phi(s) <= N, for N in 0..limit (1 for N = 0)."""
+    sieve = prime_sieve(limit + 2)
+    primes = [p for p in range(limit + 2) if sieve[p]]
+    largest = [1] * (limit + 1)
+
+    def grow(i, value, phi):
+        largest[phi] = max(largest[phi], value)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            if phi * (p - 1) > limit:
+                break
+            v, f = value * p, phi * (p - 1)
+            while True:
+                grow(j + 1, v, f)
+                if f * p > limit:
+                    break
+                v, f = v * p, f * p
+
+    grow(0, 1, 1)
+    return list(itertools.accumulate(largest, max))
+
+
 def test_phi_monotone_bound():
     assert phi_monotone_bound(9) == 30
     assert phi_monotone_bound(1) == 2
     assert phi_monotone_bound(5) == 12
+    assert phi_monotone_bound(0) == phi_monotone_bound(-4) == 1
+
+
+def test_phi_monotone_bound_matches_sieve_search():
+    """Equal to the sieve search for every N <= 3000, for seeded random N up
+    to 4 * 10**5 and at 10**6."""
+    top = 10**6
+    table = sieve_phi_bounds(top)
+    rng = random.Random(12)
+    sample = list(range(3001)) + [rng.randrange(3001, 4 * 10**5) for _ in range(20)] + [top]
+    for n in sample:
+        assert phi_monotone_bound(n) == table[n], n
+    assert table[top] == 5_290_740
+
+
+def test_phi_monotone_bound_at_64_bit_scale():
+    for n in (10**9, 2**62):
+        s = phi_monotone_bound(n)
+        assert s > n and euler_phi(s) <= n, n
 
 
 def test_is_prime_matches_sieve():

@@ -502,6 +502,20 @@ def test_certificate_bytes_are_pinned():
     assert digest.hexdigest() == CERTIFICATE_DIGEST
 
 
+# SHA-256 of the indent-2 certificates of two digit sets with a digit near
+# 10**6, where the completeness threshold is about 5.3 million.
+LARGE_DIGIT_DIGESTS = {
+    (3, (0, 1, 1_000_000)): "108064ea85473f27eec8afbc7f73488d26d3ad8665eb0413edeab1aad7590445",
+    (4, (0, 1, 2, 999_999)): "5ccb1682ef0255184472593883c8af45a1780a9f7d7192284ef664764ca2a11a",
+}
+
+
+def test_large_digit_certificate_bytes_are_pinned():
+    for (base, digits), want in LARGE_DIGIT_DIGESTS.items():
+        text = certificate_to_json(decide_tile_digit_set(base, digits), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (base, digits)
+
+
 def test_search_dot_rendering():
     cert = decide_tile_digit_set(4, [0, 1, 8, 9])
     dot = search_dot(cert)

@@ -230,14 +230,9 @@ def test_mask_degree_budget():
         MaskContext(mask_polynomial([0, 1, MAX_MASK_DEGREE + 1]))
 
 
-# Every lacunary polynomial below has this degree, so its threshold, whose
-# search costs about a second at this size, is computed once.
-LACUNARY_DEGREE = 999_999
-
-
 def _planted_polynomials(seed, count):
     """Dense, lacunary and many-term polynomials, half of them times a
-    planted Phi_m(x**c); every lacunary one has degree LACUNARY_DEGREE."""
+    planted Phi_m(x**c); each lacunary one has a random degree below 10**6."""
     rng = random.Random(seed)
     for trial in range(count):
         kind = trial % 3
@@ -248,7 +243,7 @@ def _planted_polynomials(seed, count):
         if kind == 0:  # dense
             p = _random_sparse(rng, rng.randint(1, 12), 24)
         elif kind == 1:  # lacunary
-            top = LACUNARY_DEGREE - planted.degree
+            top = rng.randrange(3, 10**6 - planted.degree)
             p = _random_sparse(rng, rng.randint(0, 3), top) + IntPoly.x_power(top)
         else:  # many terms
             p = _random_sparse(rng, rng.randint(20, 60), 90)
