@@ -38,7 +38,6 @@ _EXPORTS = {
         "InvalidBlocking",
         "InvalidDecomposition",
         "InvalidDigitSet",
-        "InvalidKernel",
         "InvalidRegrouping",
         "InvalidRepresentative",
         "NormalizationRequired",
@@ -67,10 +66,7 @@ _EXPORTS = {
         "decide_tile_digit_set",
         "enumerate_blockings",
         "enumerate_dividing_blockings",
-        "is_blocking",
-        "kernel_polynomial",
         "pk_order",
-        "refine_blocking",
         "root_indices",
         "search_dot",
     ),
@@ -83,7 +79,6 @@ _EXPORTS = {
         "build_product_form",
         "build_recipe",
         "build_weak_product_form",
-        "lift_kernel",
         "load_recipe",
         "stage_kernels",
         "validate_decomposition",
@@ -94,10 +89,8 @@ _EXPORTS = {
         "Vertex",
         "fiber",
         "kenyon_check",
-        "level_vertices",
         "protasov_decide",
         "tau_index",
-        "vertex_children",
         "vertex_label",
     ),
     "spectra": (

@@ -151,7 +151,6 @@ def _run_kernels(args) -> int:
         found = enumerate_blockings(args.base, args.max_degree)
     else:
         raise CyclotileError("kernels needs --max-degree or --digits")
-    found = sorted(found, key=lambda blk: (blk.kernel_degree, blk.indices))
     if args.format == "json":
         print(
             json.dumps(
@@ -175,9 +174,6 @@ def _run_geometry(args) -> int:
 
     digits = _parse_digits(args.digits)
     union = tile_intervals(args.base, digits, args.depth)
-    if args.format == "svg":
-        print(union.to_svg())
-        return EXIT_OK
     if union.intervals:
         print(" ∪ ".join(f"[{lo}, {hi}]" for lo, hi in union.intervals))
     else:
@@ -271,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--format", choices=("text", "svg"), default="text")
     p.set_defaults(handler=_run_geometry)
 
     p = sub.add_parser("oracle", help="integer-tiling and continuity cross-checks")

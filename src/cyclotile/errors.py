@@ -30,10 +30,6 @@ class InvalidBlocking(CyclotileError):
     """Index set is not a valid blocking of the tree."""
 
 
-class InvalidKernel(CyclotileError):
-    """Kernel is not the cyclotomic product of a valid blocking."""
-
-
 class DirectSumCollision(CyclotileError):
     """A sum that had to be direct produced a repeated value."""
 

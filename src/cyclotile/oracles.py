@@ -76,42 +76,6 @@ class IntervalUnion(FrozenRecord):
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
 
-    def to_text(self) -> str:
-        """One interval per line, endpoints as exact fractions."""
-        return "\n".join(f"{lo} {hi}" for lo, hi in self.intervals)
-
-    @classmethod
-    def from_text(cls, text: str) -> "IntervalUnion":
-        pairs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            lo, hi = line.split()
-            pairs.append((Fraction(lo), Fraction(hi)))
-        return cls.of(pairs)
-
-    def to_svg(self, width: int = 640, height: int = 32) -> str:
-        """Horizontal strip rendering, one rectangle per interval."""
-        head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">'
-        )
-        if not self.intervals:
-            return head + "</svg>"
-        lo = self.intervals[0][0]
-        span = self.intervals[-1][1] - lo
-        parts = [head]
-        for a, b in self.intervals:
-            x = float((a - lo) / span) * width
-            w = float((b - a) / span) * width
-            parts.append(
-                f'<rect x="{x:.3f}" y="4" width="{w:.3f}" '
-                f'height="{height - 8}" fill="#4472c4"/>'
-            )
-        parts.append("</svg>")
-        return "".join(parts)
-
 
 def tile_intervals(base: int, digits, depth: int) -> IntervalUnion:
     """Depth-t outer cover of the attractor of the maps x -> (x + d) / base.

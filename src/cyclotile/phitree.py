@@ -144,9 +144,7 @@ class Blocking(FrozenRecord):
     @classmethod
     def checked(cls, base: int, indices) -> "Blocking":
         ordered = tuple(sorted(set(indices)))
-        ok, reason = _diagnose_blocking(base, ordered)
-        if not ok:
-            raise InvalidBlocking(reason)
+        _check_blocking(base, ordered)
         return cls(base, ordered)
 
     @property
@@ -161,8 +159,8 @@ class Blocking(FrozenRecord):
         return cyclotomics_divide(self.indices, p)
 
 
-def _diagnose_blocking(base: int, indices: tuple[int, ...]):
-    """(True, None) for a blocking, else (False, reason).
+def _check_blocking(base: int, indices: tuple[int, ...]) -> None:
+    """Raise InvalidBlocking, with the reason, unless the indices are a blocking.
 
     Walks down from the roots, stopping at members.  Every tree node has
     exactly one parent, since each prime's exponent in the parent can be
@@ -170,12 +168,12 @@ def _diagnose_blocking(base: int, indices: tuple[int, ...]):
     reached; neither is a number off the tree.  Both leave a member unhit.
     """
     if base < 2:
-        return False, "base must be at least 2"
+        raise InvalidBlocking("base must be at least 2")
     if not indices:
-        return False, "blocking is empty"
+        raise InvalidBlocking("blocking is empty")
     for e in indices:
         if e < 2 or math.gcd(e, base) == 1:
-            return False, f"{e} is not a tree node for base {base}"
+            raise InvalidBlocking(f"{e} is not a tree node for base {base}")
     members = set(indices)
     top = max(indices)
     hit: set[int] = set()
@@ -196,33 +194,29 @@ def _diagnose_blocking(base: int, indices: tuple[int, ...]):
 
     for d in root_indices(base):
         if not covered(d):
-            return False, f"a path from root {d} escapes the set"
+            raise InvalidBlocking(f"a path from root {d} escapes the set")
     if hit != members:
         spare = sorted(members - hit)
-        return False, f"members {spare} lie below another member or off the tree"
-    return True, None
+        raise InvalidBlocking(f"members {spare} lie below another member or off the tree")
 
 
-def is_blocking(base: int, indices) -> bool:
-    ok, _ = _diagnose_blocking(base, tuple(sorted(set(indices))))
-    return ok
-
-
-def kernel_polynomial(base: int, indices) -> IntPoly:
-    """Kernel of a blocking, validating the blocking first."""
-    return Blocking.checked(base, indices).kernel()
-
-
-def refine_blocking(blocking: Blocking, d: int) -> Blocking:
+def _refine_blocking(blocking: Blocking, d: int) -> Blocking:
     """Replace member d by its children; the result is again a blocking.
 
     Kernel bookkeeping: the new kernel is the old one times the expansion
-    quotient, i.e. kernel * cyclotomic(d)(x**b) / cyclotomic(d).
+    quotient, i.e. kernel * cyclotomic(d)(x**b) / cyclotomic(d), so the
+    kernel degree grows by (b - 1) * euler_phi(d).
     """
     if d not in blocking.indices:
         raise InvalidBlocking(f"{d} is not a member of the blocking")
     kept = [e for e in blocking.indices if e != d]
     return Blocking(blocking.base, tuple(sorted(kept + list(children(d, blocking.base)))))
+
+
+def _by_degree(found: list[tuple[int, Blocking]]) -> list[Blocking]:
+    """The blockings of (kernel degree, blocking) pairs, by degree, then indices."""
+    found.sort(key=lambda pair: (pair[0], pair[1].indices))
+    return [blk for _, blk in found]
 
 
 # Most blockings `enumerate_blockings` lists.  The count grows about 5x
@@ -261,21 +255,21 @@ def enumerate_blockings(base: int, max_degree: int) -> list[Blocking]:
             refined_degree = degree + (base - 1) * euler_phi(d)
             if refined_degree > max_degree:
                 continue
-            refined = refine_blocking(current, d)
+            refined = _refine_blocking(current, d)
             if refined.indices not in seen:
                 seen.add(refined.indices)
                 queue.append((refined_degree, refined))
-    out.sort(key=lambda pair: (pair[0], pair[1].indices))
-    return [blk for _, blk in out]
+    return _by_degree(out)
 
 
 def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Blocking]:
-    """Blockings whose kernels all divide the digit mask, smallest first.
+    """Blockings whose kernels all divide the digit mask, by kernel degree.
 
     Starts from the first-hit blocking and refines members whose children
     all divide; members of a blocking are coprime cyclotomics, so member
-    divisibility already gives kernel divisibility.  limit must be at
-    least 1.
+    divisibility already gives kernel divisibility.  The first `limit`
+    found breadth first are returned, ordered as `enumerate_blockings`
+    orders its result.  limit must be at least 1.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -284,22 +278,21 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
     if first is None:
         return []
     start = Blocking(base, tuple(sorted(first)))
-    out = [start]
+    out = [(start.kernel_degree, start)]
     seen = {start.indices}
-    queue = [start]
+    queue = deque(out)
     while queue and len(out) < limit:
-        current = queue.pop(0)
+        degree, current = queue.popleft()
         for d in current.indices:
-            cs = children(d, base)
-            if all(ctx.divides(c) for c in cs):
-                refined = refine_blocking(current, d)
+            if all(ctx.divides(c) for c in children(d, base)):
+                refined = _refine_blocking(current, d)
                 if refined.indices not in seen:
                     seen.add(refined.indices)
-                    out.append(refined)
-                    queue.append(refined)
+                    out.append((degree + (base - 1) * euler_phi(d), refined))
+                    queue.append(out[-1])
                     if len(out) >= limit:
                         break
-    return out
+    return _by_degree(out)
 
 
 # -- product-form order ----------------------------------------------------
@@ -548,8 +541,8 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"base must be an integer >= 2, got {base!r}")
     if not (isinstance(digits, list) and all(_is_int(d) for d in digits)):
         raise CertificateError(f"digits must be a list of integers, got {digits!r}")
-    if not isinstance(spectrum, dict) or not _is_int(spectrum.get("cap")):
-        raise CertificateError(f"general_spectrum needs an integer cap, got {spectrum!r}")
+    if not isinstance(spectrum, dict) or not _is_int(spectrum.get("cap")) or spectrum["cap"] < 1:
+        raise CertificateError(f"general_spectrum needs an integer cap >= 1, got {spectrum!r}")
     try:
         ds = DigitSet.for_tiling(base, digits)
         ctx = MaskContext(ds.mask())

@@ -19,15 +19,12 @@ from .cyclo import cyc_divides, cyclotomics_divide, divisors, expand_times
 from .digitset import DigitSet
 from .errors import (
     DirectSumCollision,
-    InvalidBlocking,
     InvalidDecomposition,
-    InvalidKernel,
     InvalidRegrouping,
     InvalidRepresentative,
     RecipeError,
 )
 from .intpoly import IntPoly, mask_polynomial
-from .phitree import Blocking
 from .record import FrozenRecord, setfield
 
 RECIPE_SCHEMA = "cyclotile.recipe/1"
@@ -324,27 +321,6 @@ def build_higher_order(inner: Construction, parts, exponents) -> Construction:
         stage_digits=None,
         inner=inner,
     )
-
-
-def lift_kernel(base: int, indices, cofactor: IntPoly) -> DigitSet | None:
-    """Try to complete a kernel into a digit set via an integer cofactor.
-
-    The kernel takes the value base at 1, so a unit cofactor keeps the
-    cardinality; the product is a mask exactly when its coefficients are
-    all zero or one.
-    """
-    try:
-        kernel = Blocking.checked(base, indices)
-    except InvalidBlocking as exc:
-        raise InvalidKernel(str(exc)) from exc
-    if cofactor.at_one() != 1:
-        raise InvalidKernel(f"cofactor takes value {cofactor.at_one()} at 1, not 1")
-    product = kernel.kernel() * cofactor
-    if any(c not in (0, 1) for _, c in product.terms()):
-        return None
-    digits = tuple(e for e, _ in product.terms())
-    assert len(digits) == base
-    return DigitSet.of(base, digits)
 
 
 # -- recipes -----------------------------------------------------------------

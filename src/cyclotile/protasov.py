@@ -77,36 +77,6 @@ def vertex_label(v: Vertex, base: int) -> str:
     return ".".join(text) if base > 10 else "".join(text)
 
 
-def parse_label(text: str, base: int) -> Vertex:
-    # Past base 10 every label is dot-separated, even a single digit;
-    # otherwise "11" for base 12 would read as two digits.
-    parts = text.split(".") if base > 10 else list(text)
-    if not parts:
-        raise NotInTree("empty vertex label")
-    value = 0
-    for part in parts:
-        d = int(part)
-        if not 0 <= d < base:
-            raise NotInTree(f"digit {part} is out of range for base {base}")
-        value = value * base + d
-    v = Vertex(level=len(parts), value=value)
-    _check_vertex(v, base)
-    return v
-
-
-def level_vertices(base: int, level: int) -> tuple[Vertex, ...]:
-    """All vertices at a level, ascending by value."""
-    return tuple(
-        Vertex(level, m) for m in range(1, base**level) if m % base != 0
-    )
-
-
-def vertex_children(v: Vertex, base: int) -> tuple[Vertex, ...]:
-    _check_vertex(v, base)
-    step = base**v.level
-    return tuple(Vertex(v.level + 1, l * step + v.value) for l in range(base))
-
-
 def fiber(base: int, level: int, index: int) -> tuple[Vertex, ...]:
     """All level vertices carrying the given index.
 

@@ -351,12 +351,15 @@ def general_spectrum(p: IntPoly, cap: int) -> GeneralSpectrum:
     """All indices 2..cap whose cyclotomic divides p, with completeness flag.
 
     The result is certified complete when cap reaches the threshold beyond
-    which every index has totient above degree(p).
+    which every index has totient above degree(p).  A cap below 1 raises
+    ValueError.
     """
     return _general_spectrum(MaskContext(p), cap)
 
 
 def _general_spectrum(ctx: MaskContext, cap: int) -> GeneralSpectrum:
+    if cap < 1:
+        raise ValueError(f"spectrum cap must be at least 1, got {cap}")
     return GeneralSpectrum(
         indices=tuple(s for s in ctx.candidates if s <= cap and ctx.divides(s)),
         cap=cap,

@@ -80,6 +80,15 @@ def test_analyze_refuses_mask_over_degree_budget(capsys):
     assert "exceeds the budget" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_analyze_refuses_spectrum_cap_below_one(capsys, cap):
+    code, out, err = run(
+        capsys, "analyze", "--base", "4", "--digits", "0,1,8,9", "--spectrum-cap", cap
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: spectrum cap must be at least 1, got {cap}\n"
+
+
 def test_disagreement_exit_code(capsys, monkeypatch):
     fake = SimpleNamespace(status="absent", is_tile=False, blocking=None)
     monkeypatch.setattr(protasov, "protasov_decide", lambda base, digits: fake)
@@ -228,19 +237,11 @@ def test_geometry_text(capsys):
     assert "measure 2" in out
 
 
-def test_geometry_svg(capsys):
-    code, out, _ = run(
-        capsys,
-        "geometry",
-        "--base",
-        "4",
-        "--digits",
-        "0,1,8,9",
-        "--format",
-        "svg",
-    )
-    assert code == 0
-    assert out.startswith("<svg") and out.count("<rect") == 2
+def test_geometry_refuses_svg(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["geometry", "--base", "4", "--digits", "0,1,8,9", "--format", "svg"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["geometry", "oracle"])

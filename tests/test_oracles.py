@@ -33,22 +33,6 @@ def test_interval_union_normalization():
     assert v.intervals == ((F(0), F(5)),)
 
 
-def test_interval_union_text_roundtrip():
-    u = IntervalUnion.of([(0, F("3/4")), (2, F("11/4"))])
-    text = u.to_text()
-    assert text == "0 3/4\n2 11/4"
-    assert IntervalUnion.from_text(text) == u
-    assert IntervalUnion.from_text("") == IntervalUnion.of([])
-
-
-def test_interval_union_svg():
-    u = IntervalUnion.of([(0, 1), (2, 3)])
-    svg = u.to_svg(width=300, height=20)
-    assert svg.startswith("<svg ")
-    assert svg.count("<rect") == 2
-    assert IntervalUnion.of([]).to_svg().count("<rect") == 0
-
-
 def test_geometry_for_b4_tile():
     u = tile_intervals(4, [0, 1, 8, 9], 1)
     assert u.intervals == ((F(0), F(1)), (F(2), F(3)))

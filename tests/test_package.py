@@ -1,9 +1,12 @@
-"""The package surface: lazy public names, the CLI's import footprint, and
-the record classes' equality, hashing, immutability, repr and copying."""
+"""The package surface: lazy public names and what uses them, the CLI's
+import footprint, and the record classes' equality, hashing, immutability,
+repr and copying."""
 
+import ast
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,7 +35,8 @@ from cyclotile import (
 from cyclotile.phitree import P1Report, SearchStats, SearchTrace
 from cyclotile.protasov import ProtasovStats
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 FOOTPRINT = """
 import json, sys
@@ -87,6 +91,47 @@ def test_public_names_resolve_on_first_use():
         "print(json.dumps([loaded, cyclotile.spectra.MAX_MASK_DEGREE]))"
     )
     assert loaded == ["cyclotile.errors"] and degree == 10**6
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Names a module reads, imports or reaches as attributes, leaving out
+    each top-level definition's uses of its own name."""
+    used: set[str] = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found = node.id
+            elif isinstance(node, ast.Attribute):
+                found = node.attr
+            elif isinstance(node, ast.alias):
+                found = node.name
+            else:
+                continue
+            if found != own:
+                used.add(found)
+    return used
+
+
+def test_every_public_name_has_a_user():
+    # A public name earns its place by a caller in the package outside its
+    # own definition and the export table, in the benchmark, or in the
+    # README; one that only tests call is surface for nothing.
+    used: set[str] = set()
+    for path in (SRC / "cyclotile").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used(ast.parse(path.read_text()))
+    text = (ROOT / "README.md").read_text() + "".join(
+        path.read_text() for path in (ROOT / "perfbench").glob("*.py")
+    )
+    unused = []
+    for name in cyclotile.__all__:
+        value = getattr(cyclotile, name)
+        if isinstance(value, type) and issubclass(value, Exception):
+            continue  # raised to callers, so they need the name to catch it
+        if name not in used and not re.search(rf"\b{name}\b", text):
+            unused.append(name)
+    assert unused == []
 
 
 _DEC = Decomposition(12, ((0, 1), (0, 4, 8), (0, 2)), (0, 1))

