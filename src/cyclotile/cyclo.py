@@ -26,12 +26,20 @@ from math import gcd, prod
 from .intpoly import IntPoly, divide_exact
 
 
-# Bounded caches.  A 55 s run of the benchmark's corpus workload creates
-# 520 factorize keys, 8 cyclotomic keys and 106 root-of-unity keys; the
-# test suite's brute-force factoring of cyclotomic substitutions creates
-# 155 cyclotomic keys.  A mask with many terms and a large degree cycles
+# Bounded caches of index arithmetic that depends on no mask.  A 55 s run
+# of the benchmark's corpus workload (seed 1) creates 520 factorize keys,
+# 500 divisors keys (the gaps up to 500), 125 euler_phi keys, 5 primorial
+# keys (the term counts), 8 cyclotomic keys, 106 root-of-unity keys and
+# 206 phi_monotone_bound keys; `phitree` adds 55 children and 5 root keys.
+# Three round trips of every criterion-08 set and recipe create 558, 512,
+# 155, 5, 20, 143 and 212 keys, and 70 and 5 in `phitree`.  The test
+# suite's brute-force factoring of cyclotomic substitutions creates 155
+# cyclotomic keys.  A mask with many terms and a large degree cycles
 # through more keys and recomputes the oldest.
 FACTORIZE_CACHE_SIZE = 8192
+DIVISORS_CACHE_SIZE = 4096
+EULER_PHI_CACHE_SIZE = 4096
+PRIMORIAL_CACHE_SIZE = 256
 CYCLOTOMIC_CACHE_SIZE = 2048
 ROOT_OF_UNITY_CACHE_SIZE = 4096
 
@@ -61,6 +69,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
 
 
+@lru_cache(maxsize=EULER_PHI_CACHE_SIZE)
 def euler_phi(n: int) -> int:
     phi = 1
     for p, a in factorize(n):
@@ -75,6 +84,7 @@ def radical(n: int) -> int:
     return r
 
 
+@lru_cache(maxsize=DIVISORS_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors, ascending."""
     out = [1]
@@ -83,6 +93,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=PRIMORIAL_CACHE_SIZE)
 def primorial(n: int) -> int:
     """Product of the primes p <= n; 1 when n < 2."""
     out = 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from functools import lru_cache
 
 from .cyclo import (
     cyclotomic_product,
@@ -37,7 +38,13 @@ from .spectra import MaskContext, SpectrumReport, context_report
 
 CERTIFICATE_SCHEMA = "cyclotile.certificate/1"
 
+# Bounded caches of the tree's shape, which depends on the base alone
+# (key counts are in the cache comment of `cyclo`).
+ROOTS_CACHE_SIZE = 256
+CHILDREN_CACHE_SIZE = 4096
 
+
+@lru_cache(maxsize=ROOTS_CACHE_SIZE)
 def root_indices(b: int) -> tuple[int, ...]:
     """Divisors of the base above 1, ascending: the tree's roots."""
     if b < 2:
@@ -45,6 +52,7 @@ def root_indices(b: int) -> tuple[int, ...]:
     return tuple(d for d in divisors(b) if d > 1)
 
 
+@lru_cache(maxsize=CHILDREN_CACHE_SIZE)
 def children(e: int, b: int) -> tuple[int, ...]:
     """Child indices of a tree node, ascending."""
     if math.gcd(e, b) == 1:
@@ -454,6 +462,9 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
 
 
 def _certify(ctx: MaskContext, base: int, digits: tuple[int, ...], cap: int | None) -> Certificate:
+    # The report reads the candidate table anyway; built first, it also
+    # rejects the search's non-candidates at once.
+    ctx.candidates
     blocking, stats, trace = _search(ctx, base)
     report = context_report(ctx, base, cap)
     order = _order(ctx, base) if blocking is not None else None

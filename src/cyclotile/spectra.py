@@ -10,18 +10,28 @@ that divides passes both stages, so every s that divides is a candidate.
 
 The candidates have a closed form.  Let n be the term count of P, M the
 product of the primes <= n, and u = s / gcd(s, M).  The partner stage
-passes s exactly when every exponent has a partner modulo u; the first
-exponent's partner makes u a divisor of a gap from it.  M is squarefree,
+passes s exactly when every exponent has a partner modulo u.  So u
+divides a gap from the first exponent and a gap to the last one: those
+two terms need partners too.  Only the divisors of the gaps from the first
+exponent that also divide a gap to the last are asked the partner test,
+which factors 2(n - 1) gaps, not all n(n - 1)/2.  M is squarefree,
 so dividing s by gcd(s, M) removes one factor of each prime of M that
 divides s: s reduces to u exactly when s = u * gcd(u, M) * m', with m' a
 product of distinct primes of M that do not divide u.  So the candidates
-are, for each partnered u that divides a gap from the first exponent, the
-indices u * gcd(u, M) * m' up to T.  A lacunary mask tests divisors of a
-few gaps, not a range of indices, and no index that the partner stage
-rejects is ever formed.  In u's family each prime p of gcd(u, M) divides
-s exactly v_p(u) + 1 times and each prime of m' once, so the prime-split
-stage drops the whole family when some such p is blocked at v_p(u) + 1,
-and a prime blocked at exponent 1 never enters m'.
+are, for each partnered u, the indices u * gcd(u, M) * m' up to T.  A
+lacunary mask tests divisors of a few gaps, not a range of indices, and
+no index that the partner stage rejects is ever formed.  In u's family
+each prime p of gcd(u, M) divides s exactly v_p(u) + 1 times and each
+prime of m' once, so the prime-split stage drops the whole family when
+some such p is blocked at v_p(u) + 1, and a prime blocked at exponent 1
+never enters m'.
+
+A certificate builds the candidate table before its blocking search.  From
+then on, an index in 2..T that is not a candidate is rejected at once: it
+fails the partner or the prime-split stage, and the memoized partner test
+says which of the two to count.  A candidate goes straight to the modular
+stage.  Index 1 and the indices above T are not in the table's range and
+take the stages in turn, so the table changes no answer and no counter.
 
 Every index s meets three exact, reject-only stages before the exact
 `cyc_divides`; an index any stage rejects cannot divide, and an index that
@@ -142,14 +152,17 @@ def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, .
     """Every s in 2..threshold that passes `ctx.may_vanish` and
     `ctx.may_vanish_split`, ascending, in closed form (module docstring).
     `primes` are the primes of M.  Each u divides a gap from the first
-    exponent; u * gcd(u, M) is the least index that reduces to u, and it
+    exponent and a gap to the last one, as every partnered u does;
+    u * gcd(u, M) is the least index that reduces to u, and it
     asks the partner test of u and the prime-split test of each prime of u,
     whose exponent is the same in every index of the family.  The products
     of distinct primes of M that do not divide u are built prime by prime,
     only from primes the prime-split test lets in at exponent 1, so no
     product above the threshold is ever formed."""
+    exps = ctx._exponents
+    to_last = {d for e in exps[:-1] for d in divisors(exps[-1] - e)}
     found = []
-    for u in {d for gap in ctx._gaps_from_first for d in divisors(gap)}:
+    for u in {d for e in exps[1:] for d in divisors(e - exps[0])} & to_last:
         low = u * gcd(u, ctx._primorial)
         if low > threshold or not ctx.may_vanish(low) or not ctx.may_vanish_split(low):
             continue
@@ -175,7 +188,10 @@ class MaskContext:
     to `tests`.  The threshold, the candidates, the prime-power spectrum,
     the prime-split table and the modular stage's Horner scheme are built
     on first use, so a context that only searches never computes most of
-    them.
+    them.  Once `candidates` is built, an index in 2..threshold off the
+    table is rejected without the stages, and counted under the partner
+    stage when `may_vanish` fails and under the prime-split stage
+    otherwise: the same answer and the same count as the stages give.
     """
 
     def __init__(self, p: IntPoly):
@@ -195,12 +211,10 @@ class MaskContext:
         self._divides: dict[int, bool] = {}
         self._partnered: dict[int, bool] = {}
         self._split: dict[tuple[int, int], bool] = {}
-        self._candidate_set: frozenset[int] = frozenset()
+        self._candidate_set: frozenset[int] | None = None
         self._exponents = [e for e, _ in p.terms()]
         self._primorial = primorial(len(self._exponents))
         self._primes = prime_factors(self._primorial)
-        first = self._exponents[0]
-        self._gaps_from_first = tuple(e - first for e in self._exponents[1:])
 
     def may_vanish(self, s: int) -> bool:
         """Mann's necessary condition for the s-th cyclotomic to divide the
@@ -285,14 +299,20 @@ class MaskContext:
         hit = self._divides.get(s)
         if hit is None:
             self.tests += 1
-            # A candidate passed the partner and prime-split stages when
-            # `candidates` was built.
-            passed = s in self._candidate_set
-            if not (passed or self.may_vanish(s)):
-                self.partner_rejections += 1
-                hit = False
-            elif not (passed or self.may_vanish_split(s)):
-                self.split_rejections += 1
+            table = self._candidate_set
+            # The candidates in 2..threshold are exactly the indices there
+            # that pass the partner and prime-split stages.
+            if table is not None and 1 < s <= self.threshold:
+                passed = s in table
+            else:
+                passed = self.may_vanish(s) and self.may_vanish_split(s)
+            if not passed:
+                # The partner test is memoized, so asking it again to
+                # tell the two stages apart is a lookup.
+                if self.may_vanish(s):
+                    self.split_rejections += 1
+                else:
+                    self.partner_rejections += 1
                 hit = False
             elif euler_phi(s) <= self.degree and not self.may_vanish_mod_prime(s):
                 self.modular_rejections += 1
@@ -312,8 +332,9 @@ class MaskContext:
     def candidates(self) -> tuple[int, ...]:
         """Every index in 2..threshold that passes `may_vanish` and
         `may_vanish_split`, ascending: for each partnered u dividing a gap
-        from the first exponent, the indices u * gcd(u, M) * m' that the
-        prime-split test lets through (module docstring)."""
+        from the first exponent and a gap to the last, the indices
+        u * gcd(u, M) * m' that the prime-split test lets through (module
+        docstring)."""
         found = _candidate_indices(self, self._primes, self.threshold)
         self._candidate_set = frozenset(found)
         return found

@@ -1,10 +1,13 @@
 import cmath
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 
 import pytest
 
+import cyclotile
 from cyclotile.cyclo import (
     MILLER_RABIN_LIMIT,
     cyc_divides,
@@ -389,5 +392,25 @@ def test_modular_root_of_unity():
 
 
 def test_caches_are_bounded():
-    for cached in (factorize, cyclotomic, modular_root_of_unity, phi_monotone_bound):
-        assert cached.cache_info().maxsize is not None, cached
+    """Every `lru_cache` in the package's modules, found by its
+    `cache_info`, has a finite size."""
+    found = set()
+    for info in pkgutil.iter_modules(cyclotile.__path__):
+        module = importlib.import_module(f"{cyclotile.__name__}.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            for obj in (value, *members):
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    assert obj.cache_info().maxsize is not None, obj
+                    found.add(f"{info.name}.{obj.__name__}")
+    assert found >= {
+        "cyclo.factorize",
+        "cyclo.divisors",
+        "cyclo.euler_phi",
+        "cyclo.primorial",
+        "cyclo.cyclotomic",
+        "cyclo.modular_root_of_unity",
+        "cyclo.phi_monotone_bound",
+        "phitree.children",
+        "phitree.root_indices",
+    }

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cyclotile import phitree
 from cyclotile.cyclo import (
     MILLER_RABIN_LIMIT,
     cyc_divides,
@@ -13,6 +14,7 @@ from cyclotile.cyclo import (
     euler_phi,
     primorial,
 )
+from cyclotile.digitset import DigitSet
 from cyclotile.errors import CyclotileError, WrongCardinality
 from cyclotile.intpoly import IntPoly, mask_polynomial
 from cyclotile.productform import load_recipe
@@ -492,3 +494,57 @@ def test_only_the_split_stage_rejects(digits, s):
     assert not ctx.may_vanish_split(s) and not cyc_divides(s, p)
     assert not ctx.divides(s)
     assert (ctx.tests, ctx.split_rejections) == (1, 1)
+
+
+def _stage_counters(ctx):
+    return (ctx.partner_rejections, ctx.split_rejections, ctx.modular_rejections, ctx.exact_tests)
+
+
+def test_stage_counters_are_pinned():
+    """The four stage counters and the search's divisions, summed over the
+    certification of every criterion-08 set and the three recipes.  A
+    change that moves work from one stage to another, or that makes the
+    search test more or fewer indices, moves them."""
+    suites = _criterion_08_suites()
+    suites += [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
+    assert len(suites) == 1800
+    tests, stages, divisions = 0, Counter(), 0
+    for base, digits in suites:
+        ds = DigitSet.for_tiling(base, digits)
+        ctx = MaskContext(ds.mask())
+        divisions += phitree._certify(ctx, base, ds.digits, None).stats.divisions
+        tests += ctx.tests
+        stages.update(dict(zip(("partner", "split", "modular", "exact"), _stage_counters(ctx))))
+    assert tests == sum(stages.values()) == 17_811
+    assert stages == {"partner": 4_273, "split": 55, "modular": 10_932, "exact": 2_551}
+    assert divisions == 7_539
+
+
+def test_candidate_table_changes_no_answer_or_counter():
+    """A context that has built `candidates` rejects an index in
+    2..threshold that is off the table without running the stages.  It
+    must answer `divides` as a fresh context does and count every index
+    under the same stage.  Index 1 and the indices past the threshold keep
+    the staged path: a polynomial with P(1) = 0 checks the first, and 50
+    indices past each threshold check the second.  A lacunary polynomial's
+    threshold runs into the millions, so its indices are 1..2000 and the
+    50 on either side of the threshold; the others run from 1 to 50 past
+    the threshold."""
+    polys = [cyclotomic(1) * mask_polynomial([0, 1, 8, 9])]
+    polys += _planted_polynomials(97, 60)
+    past_threshold_exact = 0
+    for p in polys:
+        fresh, built = MaskContext(p), MaskContext(p)
+        built.candidates
+        top = built.threshold
+        if top <= 5000:
+            indices = range(1, top + 51)
+        else:
+            indices = [*range(1, 2001), *range(top - 49, top + 51)]
+        for s in indices:
+            before = fresh.exact_tests
+            assert built.divides(s) == fresh.divides(s), (p, s)
+            past_threshold_exact += s > top and fresh.exact_tests > before
+        assert (built.tests, _stage_counters(built)) == (fresh.tests, _stage_counters(fresh)), p
+    assert MaskContext(polys[0]).divides(1)
+    assert past_threshold_exact > 100
