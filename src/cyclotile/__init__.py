@@ -101,7 +101,6 @@ _EXPORTS = {
         "check_t2",
         "general_spectrum",
         "prime_power_spectrum",
-        "spectrum_report",
         "spectrum_structure",
     ),
 }

@@ -229,48 +229,31 @@ def phi_at_one(n: int) -> int:
     return 1
 
 
-def expand_step(indices, p: int) -> frozenset[int]:
-    """Indices of the factors after substituting x -> x**p.
-
-    Substitution sends the cyclotomic of s to the cyclotomic of s*p when p
-    divides s, and to the product of the cyclotomics of s and s*p otherwise.
-    """
-    out = set()
-    for s in indices:
-        if s % p == 0:
-            out.add(s * p)
-        else:
-            out.add(s)
-            out.add(s * p)
-    return frozenset(out)
-
-
 def expand_indices(d: int, b: int) -> frozenset[int]:
     """Indices E with: cyclotomic(d)(x**b) = product of cyclotomic(e), e in E.
 
-    Applies the single-prime rule once per prime factor of b counted with
-    multiplicity.  The result does not depend on the order of application,
-    every member is a multiple of d, and when gcd(d, b) > 1 every member is
-    at least 2*d (the growth fact that terminates all tree searches here).
+    Closed form: write b = b1 * b2, where b1 holds the prime powers of b
+    whose primes divide d; then E = {d * b1 * k : k | b2}.  Proof:
+    cyclotomic(n)(x**m) is cyclotomic(n * m) when every prime of m divides
+    n, and the product of cyclotomic(n * k) over k | m when gcd(n, m) = 1;
+    apply the first with (n, m) = (d, b1), then the second with
+    (n, m) = (d * b1, b2).  Every member is a multiple of d, and when
+    gcd(d, b) > 1 every member is at least 2*d (the growth fact that
+    terminates all tree searches here).
     """
     if d < 1 or b < 2:
         raise ValueError("need index >= 1 and base >= 2")
-    indices = frozenset((d,))
-    for p, a in factorize(b):
-        for _ in range(a):
-            indices = expand_step(indices, p)
-    return indices
+    b1 = prod(p**a for p, a in factorize(b) if d % p == 0)
+    return frozenset(d * b1 * k for k in divisors(b // b1))
 
 
 def expand_times(indices, b: int, times: int) -> frozenset[int]:
-    """Apply expand_indices to a whole set, times rounds."""
-    out = frozenset(indices)
-    for _ in range(times):
-        nxt = set()
-        for s in out:
-            nxt.update(expand_indices(s, b))
-        out = frozenset(nxt)
-    return out
+    """The indices after substituting x -> x**b, times rounds: the union of
+    expand_indices(s, b**times) over the given s."""
+    if times < 1:
+        return frozenset(indices)
+    bt = b**times
+    return frozenset().union(*(expand_indices(s, bt) for s in indices))
 
 
 def cyc_divides(s: int, p: IntPoly) -> bool:

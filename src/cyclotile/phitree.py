@@ -2,8 +2,12 @@
 
 For a base b, the tree's roots are the divisors of b above 1; the children
 of a node e are the indices of the cyclotomic factors of the e-th cyclotomic
-with x replaced by x**b.  A *blocking* is a finite set of nodes that every
-infinite root-to-leaf path meets exactly once.  A digit set with base-many
+with x replaced by x**b.  In closed form (see `cyclo.expand_indices`): with
+b = b1 * b2, where b1 holds the prime powers of b whose primes divide e, the
+children are e * b1 * k for the divisors k of b2.  So gcd(c, b) = b1 * k for
+each child c, and every node has exactly one parent, e = c // gcd(c, b); a
+root r has r // gcd(r, b) = 1.  A *blocking* is a finite set of nodes that
+every infinite root-to-leaf path meets exactly once.  A digit set with base-many
 digits tiles exactly when some blocking consists entirely of indices whose
 cyclotomics divide the digit mask; the product of those cyclotomics is the
 *kernel*, the certificate everything here revolves around.
@@ -170,9 +174,9 @@ class Blocking(FrozenRecord):
 def _check_blocking(base: int, indices: tuple[int, ...]) -> None:
     """Raise InvalidBlocking, with the reason, unless the indices are a blocking.
 
-    Walks down from the roots, stopping at members.  Every tree node has
-    exactly one parent, since each prime's exponent in the parent can be
-    read off the child, so a member that lies below another member is never
+    Walks down from the roots, stopping at members.  Every tree node e has
+    exactly one parent, e // gcd(e, base), so the walk reaches each node at
+    most once, and a member that lies below another member is never
     reached; neither is a number off the tree.  Both leave a member unhit.
     """
     if base < 2:
@@ -185,20 +189,14 @@ def _check_blocking(base: int, indices: tuple[int, ...]) -> None:
     members = set(indices)
     top = max(indices)
     hit: set[int] = set()
-    memo: dict[int, bool] = {}
 
     def covered(e: int) -> bool:
-        if e in memo:
-            return memo[e]
         if e in members:
             hit.add(e)
-            result = True
-        elif e > top:
-            result = False
-        else:
-            result = all(covered(c) for c in children(e, base))
-        memo[e] = result
-        return result
+            return True
+        if e > top:
+            return False
+        return all(covered(c) for c in children(e, base))
 
     for d in root_indices(base):
         if not covered(d):
@@ -221,17 +219,44 @@ def _refine_blocking(blocking: Blocking, d: int) -> Blocking:
     return Blocking(blocking.base, tuple(sorted(kept + list(children(d, blocking.base)))))
 
 
-def _by_degree(found: list[tuple[int, Blocking]]) -> list[Blocking]:
-    """The blockings of (kernel degree, blocking) pairs, by degree, then indices."""
+def _refinements(start: Blocking, refinable, limit: int) -> list[Blocking]:
+    """Blockings reached from start by refinement, breadth first, ordered by
+    (kernel degree, indices).
+
+    Member d of a blocking is refined when refinable(d, degree) holds, where
+    degree is the refined blocking's kernel degree: the children of d have
+    degrees summing to base * euler_phi(d), so refining adds
+    (base - 1) * euler_phi(d).  The walk stops once `limit` blockings are
+    found, start included; the cut falls in breadth-first order, before the
+    sort.
+    """
+    base = start.base
+    found = [(start.kernel_degree, start)]
+    seen = {start.indices}
+    queue = deque(found)
+    while queue and len(found) < limit:
+        degree, current = queue.popleft()
+        for d in current.indices:
+            refined_degree = degree + (base - 1) * euler_phi(d)
+            if not refinable(d, refined_degree):
+                continue
+            refined = _refine_blocking(current, d)
+            if refined.indices not in seen:
+                seen.add(refined.indices)
+                found.append((refined_degree, refined))
+                queue.append(found[-1])
+                if len(found) >= limit:
+                    break
     found.sort(key=lambda pair: (pair[0], pair[1].indices))
     return [blk for _, blk in found]
 
 
 # Most blockings `enumerate_blockings` lists.  The count grows about 5x
 # per doubling of the degree: base 12 has 3,774 blockings up to degree
-# 800, listed in 0.2 s, and base 6 has 8,051, in 0.4 s.  A blocking with
-# more members costs more to refine: base 60 reaches the budget in about
-# 1.2 s.  Past it the enumeration stops with CyclotileError.
+# 800, listed in 0.06 s, and base 6 has 8,051, in 0.12 s (2 vCPUs,
+# CPython 3.11).  Blockings count as they are found, so an enumeration
+# past the budget stops at the 10,001st, with CyclotileError: base 60 at
+# degree 3,200 in 0.15 s.
 MAX_BLOCKINGS = 10_000
 
 
@@ -244,30 +269,17 @@ def enumerate_blockings(base: int, max_degree: int) -> list[Blocking]:
     once more than MAX_BLOCKINGS are found.
     """
     start = Blocking(base, root_indices(base))
-    out: list[tuple[int, Blocking]] = []
-    seen = {start.indices}
-    queue = deque([(start.kernel_degree, start)])
-    while queue:
-        degree, current = queue.popleft()
-        if degree > max_degree:
-            continue
-        out.append((degree, current))
-        if len(out) > MAX_BLOCKINGS:
-            raise CyclotileError(
-                f"blockings of kernel degree at most {max_degree} exceed the budget of "
-                f"{MAX_BLOCKINGS}"
-            )
-        for d in current.indices:
-            # The children of d have degrees summing to base * euler_phi(d),
-            # the degree of the d-th cyclotomic with x replaced by x**base.
-            refined_degree = degree + (base - 1) * euler_phi(d)
-            if refined_degree > max_degree:
-                continue
-            refined = _refine_blocking(current, d)
-            if refined.indices not in seen:
-                seen.add(refined.indices)
-                queue.append((refined_degree, refined))
-    return _by_degree(out)
+    if start.kernel_degree > max_degree:
+        return []
+    found = _refinements(
+        start, lambda d, degree: degree <= max_degree, limit=MAX_BLOCKINGS + 1
+    )
+    if len(found) > MAX_BLOCKINGS:
+        raise CyclotileError(
+            f"blockings of kernel degree at most {max_degree} exceed the budget of "
+            f"{MAX_BLOCKINGS}"
+        )
+    return found
 
 
 def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Blocking]:
@@ -285,22 +297,11 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
     first, _, _ = _search(ctx, base)
     if first is None:
         return []
-    start = Blocking(base, tuple(sorted(first)))
-    out = [(start.kernel_degree, start)]
-    seen = {start.indices}
-    queue = deque(out)
-    while queue and len(out) < limit:
-        degree, current = queue.popleft()
-        for d in current.indices:
-            if all(ctx.divides(c) for c in children(d, base)):
-                refined = _refine_blocking(current, d)
-                if refined.indices not in seen:
-                    seen.add(refined.indices)
-                    out.append((degree + (base - 1) * euler_phi(d), refined))
-                    queue.append(out[-1])
-                    if len(out) >= limit:
-                        break
-    return _by_degree(out)
+    return _refinements(
+        Blocking(base, tuple(sorted(first))),
+        lambda d, degree: all(ctx.divides(c) for c in children(d, base)),
+        limit,
+    )
 
 
 # -- product-form order ----------------------------------------------------

@@ -507,19 +507,14 @@ class SpectrumReport(FrozenRecord):
         setfield(self, "structure", structure)
 
 
-def spectrum_report(base: int, digits, cap: int | None = None) -> SpectrumReport:
-    """Assemble the full spectra section of a certificate.
+def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> SpectrumReport:
+    """Assemble the full spectra section of a certificate; the digit count
+    is P(1).
 
     The default cap covers the whole certified range for small masks but is
     clamped for large ones, where exhausting the range would cost minutes;
     the report's complete flag records which situation applies.
     """
-    ds = DigitSet.of(base, digits)
-    return context_report(MaskContext(ds.mask()), base, cap)
-
-
-def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> SpectrumReport:
-    """spectrum_report on an existing context; the digit count is P(1)."""
     if cap is None:
         deg = ctx.degree or 1
         cap = min(completeness_threshold(deg), max(100, 4 * deg))

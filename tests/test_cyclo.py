@@ -165,6 +165,9 @@ def brute_expand(d, b):
 def test_expand_indices_against_brute_force():
     rng = random.Random(5)
     pairs = {(2, 6), (3, 6), (6, 6), (4, 12), (12, 12), (5, 10), (9, 12)}
+    # Bases with three primes, with indices sharing none, some or all of them.
+    pairs |= {(1, 30), (7, 30), (2, 30), (6, 30), (10, 30), (30, 30), (49, 30)}
+    pairs |= {(1, 60), (7, 60), (11, 60), (2, 60), (4, 60), (9, 60), (15, 60), (30, 60)}
     while len(pairs) < 60:
         pairs.add((rng.randint(2, 50), rng.randint(2, 30)))
     for d, b in sorted(pairs):

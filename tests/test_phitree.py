@@ -73,6 +73,24 @@ def test_children_frozen():
     assert children(6, 12) == (72,)
 
 
+def test_every_node_has_one_parent():
+    # The parent of a node c is c // gcd(c, b), and a root's is 1: the
+    # closed form of the children and the memo-free blocking check rest on it.
+    checked = 0
+    for b in range(2, 61):
+        level = root_indices(b)
+        assert all(r // math.gcd(r, b) == 1 for r in level), b
+        for _ in range(4):
+            below = []
+            for e in level:
+                for c in children(e, b):
+                    assert c // math.gcd(c, b) == e, (e, c, b)
+                    below.append(c)
+            level = below
+            checked += len(below)
+    assert checked == 2564
+
+
 def test_children_rejects_foreign_indices():
     with pytest.raises(NotInTree):
         children(5, 6)
@@ -268,6 +286,41 @@ def test_enumerate_dividing_blockings():
         found = enumerate_dividing_blockings(base, digits)
         keys = [(blk.kernel_degree, blk.indices) for blk in found]
         assert keys == sorted(keys)
+
+
+def _listing_digest(blockings) -> str:
+    text = json.dumps([[list(blk.indices), blk.kernel_degree] for blk in blockings])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the JSON listings [[indices, kernel degree], ...], in the order
+# the enumerators return them.  They pin both the content and the order.
+BLOCKING_LISTING_DIGESTS = {
+    (4, 400): "971b90d074591bed4b24d9db8194110b4a580e1360271cacfd4c683dc1d048ff",
+    (6, 800): "353ba3f9767cbbb6362705e3d0ca4e2bd35a62a85e7bccdc586b8bc1d7f6b628",
+    (12, 800): "5df05092d201cf7558330135da475fa0fbec6fb021aacdec89463d17bb4fe643",
+    (60, 400): "ccbff2c84d125102ce37bca256ecdbe85620cbfff637b36bb5451954916c3a68",
+}
+DIVIDING_LISTING_DIGESTS = {
+    ("b12_first_order_variant", 1): "c600e8a70b493672a206dd77edb8ec5150405faafd75af283d90a28e0fdaf749",
+    ("b12_first_order_variant", 8): "671f0a642ec9292067ada0f253fa6c84dc4a5d928cbbc246318a00ae82f7bbb4",
+    ("b12_first_order_variant", 64): "671f0a642ec9292067ada0f253fa6c84dc4a5d928cbbc246318a00ae82f7bbb4",
+    ("b12_modulo", 8): "082a377d3006dce66fabf3afc99fc9fc92d3d5323f973b917d12b73671fc94c6",
+    ("b12_modulo", 64): "082a377d3006dce66fabf3afc99fc9fc92d3d5323f973b917d12b73671fc94c6",
+    ("b12_second_order", 8): "5a1feb6b2e9219d16ccf586306b7e09b5c2f510ea10f4c13096db36924c689cd",
+    ("b12_second_order", 64): "5a1feb6b2e9219d16ccf586306b7e09b5c2f510ea10f4c13096db36924c689cd",
+}
+
+
+def test_blocking_listings_are_pinned():
+    for (base, max_degree), want in BLOCKING_LISTING_DIGESTS.items():
+        got = _listing_digest(enumerate_blockings(base, max_degree))
+        assert got == want, (base, max_degree)
+    recipes = Path(__file__).resolve().parents[1] / "recipes"
+    for (recipe, limit), want in DIVIDING_LISTING_DIGESTS.items():
+        digits = load_recipe(recipes / f"{recipe}.json").digits
+        got = _listing_digest(enumerate_dividing_blockings(12, digits, limit=limit))
+        assert got == want, (recipe, limit)
 
 
 @pytest.mark.parametrize("limit", [0, -3])

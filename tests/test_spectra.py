@@ -24,9 +24,9 @@ from cyclotile.spectra import (
     check_t1,
     check_t2,
     completeness_threshold,
+    context_report,
     general_spectrum,
     prime_power_spectrum,
-    spectrum_report,
     spectrum_structure,
 )
 from test_acceptance import RECIPES, _criterion_08_suites
@@ -94,7 +94,7 @@ def test_general_spectrum_refuses_a_cap_below_one():
         with pytest.raises(ValueError, match="at least 1"):
             general_spectrum(p, cap)
         with pytest.raises(ValueError, match="at least 1"):
-            spectrum_report(4, (0, 1, 8, 9), cap)
+            context_report(MaskContext(p), 4, cap)
 
 
 def test_completeness_threshold_exact_region():
@@ -175,7 +175,7 @@ def test_spectrum_structure_cardinality_enforced():
 
 
 def test_spectrum_report_assembles():
-    report = spectrum_report(4, [0, 1, 8, 9])
+    report = context_report(MaskContext(mask_polynomial([0, 1, 8, 9])), 4)
     assert report.prime_powers == (2, 16)
     assert report.t1 and report.t2
     assert report.structure.passed
