@@ -27,11 +27,11 @@ from .intpoly import IntPoly, divide_exact
 
 
 # Bounded caches of index arithmetic that depends on no mask.  A 55 s run
-# of the benchmark's corpus workload (seed 1) creates 520 factorize keys,
-# 500 divisors keys (the gaps up to 500), 125 euler_phi keys, 5 primorial
+# of the benchmark's corpus workload (seed 1) creates 519 factorize keys,
+# 500 divisors keys (the gaps up to 500), 125 euler_phi keys, 5 primes_up_to
 # keys (the term counts), 8 cyclotomic keys, 106 root-of-unity keys and
 # 206 phi_monotone_bound keys; `phitree` adds 55 children and 5 root keys.
-# Three round trips of every criterion-08 set and recipe create 558, 512,
+# Three round trips of every criterion-08 set and recipe create 557, 512,
 # 155, 5, 20, 143 and 212 keys, and 70 and 5 in `phitree`.  The test
 # suite's brute-force factoring of cyclotomic substitutions creates 155
 # cyclotomic keys.  A mask with many terms and a large degree cycles
@@ -39,7 +39,7 @@ from .intpoly import IntPoly, divide_exact
 FACTORIZE_CACHE_SIZE = 8192
 DIVISORS_CACHE_SIZE = 4096
 EULER_PHI_CACHE_SIZE = 4096
-PRIMORIAL_CACHE_SIZE = 256
+PRIMES_UP_TO_CACHE_SIZE = 256
 CYCLOTOMIC_CACHE_SIZE = 2048
 ROOT_OF_UNITY_CACHE_SIZE = 4096
 
@@ -93,17 +93,17 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=PRIMORIAL_CACHE_SIZE)
-def primorial(n: int) -> int:
-    """Product of the primes p <= n; 1 when n < 2."""
-    out = 1
+@lru_cache(maxsize=PRIMES_UP_TO_CACHE_SIZE)
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """The primes p <= n, ascending; empty when n < 2."""
+    out = []
     sieve = bytearray([1]) * (n + 1)
     for p in range(2, n + 1):
         if sieve[p]:
-            out *= p
+            out.append(p)
             for m in range(p * p, n + 1, p):
                 sieve[m] = 0
-    return out
+    return tuple(out)
 
 
 def is_prime_power(n: int):

@@ -33,14 +33,19 @@ _NATURAL_ATTEMPT_LIMIT = 1_000_000
 # `direct_sum_diagnostic` may build.  Each level multiplies them by the digit
 # count: four digits to depth 8 (65536 values) take about 1.6 s and 39 MB.
 MAX_RADIX_VALUES = 100_000
+# Deepest level they may reach: one digit makes one value at any depth, but
+# the loops still run once per level.
+MAX_RADIX_DEPTH = 64
 
 
 def _check_radix_budget(count: int, depth: int) -> None:
     # The capped exponent keeps a huge depth from building a huge integer.
-    if count ** min(depth, 64) > MAX_RADIX_VALUES:
+    if count ** min(depth, MAX_RADIX_DEPTH) > MAX_RADIX_VALUES:
         raise CyclotileError(
             f"{count} digits to depth {depth} exceed the budget of {MAX_RADIX_VALUES} radix values"
         )
+    if depth > MAX_RADIX_DEPTH:
+        raise CyclotileError(f"depth {depth} exceeds the budget of {MAX_RADIX_DEPTH} levels")
 
 
 class IntervalUnion(FrozenRecord):

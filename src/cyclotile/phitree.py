@@ -16,7 +16,9 @@ The search is a depth-first first-hit walk: take a node as soon as its
 cyclotomic divides the mask, otherwise expand it, and give up on a branch
 once the totient of its index exceeds the mask degree (totients only grow
 along descendants, so nothing deeper can divide).  Index growth makes the
-walk finite, and the first-hit rule makes the result canonical.
+walk finite, and the first-hit rule makes the result canonical.  It runs
+on an explicit stack and records node outcomes alone, since the parent
+rule gives back every edge; a blocking is checked upward by the same rule.
 """
 
 from __future__ import annotations
@@ -80,17 +82,12 @@ class SearchStats(Record):
 
 
 class SearchTrace(Record):
-    """Explored edges and node outcomes (hit/expanded/pruned), for rendering."""
+    """Node outcomes (hit/expanded/pruned) in visit order, for rendering."""
 
-    __slots__ = ("status", "edges")
+    __slots__ = ("status",)
 
-    def __init__(
-        self,
-        status: dict[int, str] | None = None,
-        edges: list[tuple[int, int]] | None = None,
-    ) -> None:
+    def __init__(self, status: dict[int, str] | None = None) -> None:
         self.status = {} if status is None else status
-        self.edges = [] if edges is None else edges
 
 
 def blocking_search(p: IntPoly, b: int):
@@ -109,38 +106,27 @@ def _search(ctx: MaskContext, b: int):
     start = ctx.tests
     stats = SearchStats()
     trace = SearchTrace()
-
-    def walk(e: int, depth: int) -> frozenset | None:
+    hits: list[int] = []
+    blocking: frozenset | None = None
+    # Reversed on the stack, so that nodes are visited in pre-order.
+    stack = [(d, 0) for d in reversed(root_indices(b))]
+    while stack:
+        e, depth = stack.pop()
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         if ctx.divides(e):
             trace.status[e] = "hit"
-            return frozenset((e,))
-        if euler_phi(e) > ctx.degree:
+            hits.append(e)
+        elif euler_phi(e) > ctx.degree:
             trace.status[e] = "pruned"
             stats.pruned += 1
-            return None
-        trace.status[e] = "expanded"
-        hit: set[int] = set()
-        for c in children(e, b):
-            trace.edges.append((e, c))
-            got = walk(c, depth + 1)
-            if got is None:
-                return None
-            hit |= got
-        return frozenset(hit)
-
-    blocking: frozenset | None = frozenset()
-    for d in root_indices(b):
-        got = walk(d, 0)
-        if got is None:
-            blocking = None
             break
-        blocking |= got
+        else:
+            trace.status[e] = "expanded"
+            stack.extend((c, depth + 1) for c in reversed(children(e, b)))
+    else:  # no branch escaped
+        blocking = frozenset(hits)
     stats.divisions = ctx.tests - start
-    # walk refers to itself; unbinding it frees the context (and its memo)
-    # now instead of at the next cycle collection.
-    del walk
     return blocking, stats, trace
 
 
@@ -172,12 +158,16 @@ class Blocking(FrozenRecord):
 
 
 def _check_blocking(base: int, indices: tuple[int, ...]) -> None:
-    """Raise InvalidBlocking, with the reason, unless the indices are a blocking.
+    """Raise InvalidBlocking, with the reason, unless the ascending indices
+    are a blocking.
 
-    Walks down from the roots, stopping at members.  Every tree node e has
-    exactly one parent, e // gcd(e, base), so the walk reaches each node at
-    most once, and a member that lies below another member is never
-    reached; neither is a number off the tree.  Both leave a member unhit.
+    Walks each member up by the parent rule, e -> e // gcd(e, base), with
+    gcds alone; every step of a walk that ends at 1 is a tree edge.  A
+    member whose walk meets another member, or stops at a fixed point above
+    1, is spare.  The rest meet every path from a root r exactly when
+    euler_phi(e) * base**(top - depth(e)) summed over those under r is
+    euler_phi(r) * base**top, because a node's children have totients
+    summing to base * euler_phi(e).  Roots are checked before spares.
     """
     if base < 2:
         raise InvalidBlocking("base must be at least 2")
@@ -187,22 +177,22 @@ def _check_blocking(base: int, indices: tuple[int, ...]) -> None:
         if e < 2 or math.gcd(e, base) == 1:
             raise InvalidBlocking(f"{e} is not a tree node for base {base}")
     members = set(indices)
-    top = max(indices)
-    hit: set[int] = set()
-
-    def covered(e: int) -> bool:
-        if e in members:
-            hit.add(e)
-            return True
-        if e > top:
-            return False
-        return all(covered(c) for c in children(e, base))
-
-    for d in root_indices(base):
-        if not covered(d):
-            raise InvalidBlocking(f"a path from root {d} escapes the set")
-    if hit != members:
-        spare = sorted(members - hit)
+    spare = []
+    under: dict[int, list[tuple[int, int]]] = {}  # root -> [(member, depth)]
+    for e in indices:
+        node, depth = e, 0
+        while (parent := node // math.gcd(node, base)) not in (1, node) and parent not in members:
+            node, depth = parent, depth + 1
+        if parent == 1:
+            under.setdefault(node, []).append((e, depth))
+        else:
+            spare.append(e)
+    top = max((depth for found in under.values() for _, depth in found), default=0)
+    for r in root_indices(base):
+        weight = sum(euler_phi(e) * base ** (top - depth) for e, depth in under.get(r, ()))
+        if weight != euler_phi(r) * base**top:
+            raise InvalidBlocking(f"a path from root {r} escapes the set")
+    if spare:
         raise InvalidBlocking(f"members {spare} lie below another member or off the tree")
 
 
@@ -362,40 +352,39 @@ def pk_order(base: int, digits) -> int | None:
 
 def _order(ctx: MaskContext, base: int) -> int | None:
     memo: dict[int, int | None] = {}
-
-    def order(t: int) -> int | None:
-        if t in memo:
-            return memo[t]
-        if _full_divisibility_exponent(t, base, ctx) is not None:
-            memo[t] = 1
-            return 1
-        current: frozenset[int] = frozenset((t,))
-        while True:
-            current = expand_times(current, base, 1)
-            if any(ctx.divides(e) for e in current):
-                break
-            if min(euler_phi(e) for e in current) > ctx.degree:
-                memo[t] = None
-                return None
-        worst = 0
-        for e in sorted(current):
-            sub = order(e)
-            if sub is None:
-                memo[t] = None
-                return None
-            worst = max(worst, sub)
-        memo[t] = 1 + worst
-        return memo[t]
-
-    result: int | None = 0
+    result = 0
     for d in root_indices(base):
-        got = order(d)
+        got = _index_order(d, base, ctx, memo)
         if got is None:
-            result = None
-            break
+            return None
         result = max(result, got)
-    del order  # as in _search: frees the context without the cycle collector
     return result
+
+
+def _index_order(t: int, base: int, ctx: MaskContext, memo: dict[int, int | None]) -> int | None:
+    """The order of one index (see `pk_order`), memoized in memo."""
+    if t in memo:
+        return memo[t]
+    if _full_divisibility_exponent(t, base, ctx) is not None:
+        memo[t] = 1
+        return 1
+    current: frozenset[int] = frozenset((t,))
+    while True:
+        current = expand_times(current, base, 1)
+        if any(ctx.divides(e) for e in current):
+            break
+        if min(euler_phi(e) for e in current) > ctx.degree:
+            memo[t] = None
+            return None
+    worst = 0
+    for e in sorted(current):
+        sub = _index_order(e, base, ctx, memo)
+        if sub is None:
+            memo[t] = None
+            return None
+        worst = max(worst, sub)
+    memo[t] = 1 + worst
+    return memo[t]
 
 
 # -- certificates ------------------------------------------------------------
@@ -602,7 +591,9 @@ def _first_difference(payload: dict, expected: dict) -> str:
 
 
 def search_dot(cert: Certificate) -> str:
-    """Graphviz rendering of the explored tree; blocking members doubled."""
+    """Graphviz rendering of the explored tree; blocking members doubled.
+    Each non-root node's edge comes from its parent, c // gcd(c, base), in
+    visit order."""
     if cert.trace is None:
         raise ValueError("certificate carries no search trace")
     lines = [
@@ -621,7 +612,9 @@ def search_dot(cert: Certificate) -> str:
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{e}"{suffix};')
-    for parent, child in cert.trace.edges:
-        lines.append(f'  "{parent}" -> "{child}";')
+    for child in cert.trace.status:
+        parent = child // math.gcd(child, cert.base)
+        if parent > 1:
+            lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

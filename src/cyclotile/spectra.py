@@ -116,7 +116,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 from .cyclo import (
     cyc_divides,
@@ -127,8 +127,7 @@ from .cyclo import (
     modular_root_of_unity,
     phi_at_one,
     phi_monotone_bound,
-    prime_factors,
-    primorial,
+    primes_up_to,
 )
 from .digitset import DigitSet
 from .errors import CyclotileError
@@ -213,8 +212,8 @@ class MaskContext:
         self._split: dict[tuple[int, int], bool] = {}
         self._candidate_set: frozenset[int] | None = None
         self._exponents = [e for e, _ in p.terms()]
-        self._primorial = primorial(len(self._exponents))
-        self._primes = prime_factors(self._primorial)
+        self._primes = primes_up_to(len(self._exponents))
+        self._primorial = prod(self._primes)
 
     def may_vanish(self, s: int) -> bool:
         """Mann's necessary condition for the s-th cyclotomic to divide the

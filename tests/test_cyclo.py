@@ -23,7 +23,7 @@ from cyclotile.cyclo import (
     modular_root_of_unity,
     phi_at_one,
     phi_monotone_bound,
-    primorial,
+    primes_up_to,
     radical,
 )
 from cyclotile.intpoly import IntPoly, divide_exact, mask_polynomial
@@ -69,8 +69,9 @@ def test_factorize_and_euler_phi():
     assert euler_phi(6912) == 2304
     assert radical(6912) == 6
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
-    assert [primorial(n) for n in range(8)] == [1, 1, 2, 6, 6, 30, 30, 210]
-    assert primorial(12) == 2310 and primorial(13) == 30030
+    assert [math.prod(primes_up_to(n)) for n in range(8)] == [1, 1, 2, 6, 6, 30, 30, 210]
+    assert primes_up_to(12) == (2, 3, 5, 7, 11) and primes_up_to(13)[-1] == 13
+    assert primes_up_to(1) == ()
 
 
 def test_phi_divides_phi_of_multiples():
@@ -410,7 +411,7 @@ def test_caches_are_bounded():
         "cyclo.factorize",
         "cyclo.divisors",
         "cyclo.euler_phi",
-        "cyclo.primorial",
+        "cyclo.primes_up_to",
         "cyclo.cyclotomic",
         "cyclo.modular_root_of_unity",
         "cyclo.phi_monotone_bound",

@@ -88,6 +88,12 @@ def test_radix_value_budget(monkeypatch):
             tile_intervals(4, [0, 1, 8, 9], depth)
         with pytest.raises(CyclotileError, match="budget of 255"):
             direct_sum_diagnostic(4, [0, 1, 8, 9], depth)
+    # One digit makes one value at any depth, so the depth has its own budget.
+    assert tile_intervals(4, [0], 64).measure == 0
+    with pytest.raises(CyclotileError, match="depth 100000000 exceeds the budget of 64 levels"):
+        tile_intervals(4, [0], 10**8)
+    with pytest.raises(CyclotileError, match="depth 100000000 exceeds the budget of 64 levels"):
+        direct_sum_diagnostic(4, [0], 10**8)
 
 
 def test_direct_sum_diagnostic():

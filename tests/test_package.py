@@ -159,7 +159,7 @@ RECORDS = [
     ("Blocking", "hashable", lambda: cyclotile.Blocking(4, (2, 16))),
     ("P1Report", "frozen", lambda: check_p1(*_TILE)),
     ("SearchStats", "mutable", lambda: SearchStats(5, 4, 3, 2)),
-    ("SearchTrace", "mutable", lambda: SearchTrace({2: "hit"}, [(2, 8)])),
+    ("SearchTrace", "mutable", lambda: SearchTrace({2: "expanded", 8: "hit"})),
     ("Certificate", "mutable", lambda: decide_tile_digit_set(*_TILE)),
     ("GeneralSpectrum", "hashable", lambda: cyclotile.GeneralSpectrum((2, 16), 100, 96, False)),
     ("StructureReport", "frozen", lambda: spectrum_structure(*_TILE)),

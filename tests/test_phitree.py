@@ -36,6 +36,7 @@ from cyclotile.phitree import (
     search_dot,
 )
 from cyclotile.productform import load_recipe
+from test_acceptance import RECIPES, _criterion_08_suites
 
 refine_blocking = phitree._refine_blocking
 
@@ -75,7 +76,8 @@ def test_children_frozen():
 
 def test_every_node_has_one_parent():
     # The parent of a node c is c // gcd(c, b), and a root's is 1: the
-    # closed form of the children and the memo-free blocking check rest on it.
+    # closed form of the children, the upward blocking check and the DOT
+    # edges rest on it.
     checked = 0
     for b in range(2, 61):
         level = root_indices(b)
@@ -461,6 +463,9 @@ def _tile_payload(**fields) -> str:
         {"bogus": 1},
         {"blocking": [2, 2, 16], "kernel": [2, 2, 16]},
         {"blocking": [16, 2], "kernel": [16, 2]},
+        # Genuine blockings with one member hundreds of levels deep.
+        {"blocking": [2, 4**800], "kernel": [2, 4**800]},
+        {"base": 2, "digits": [0, 1], "blocking": [2**1500], "kernel": [2**1500]},
     ],
     ids=[
         "flipped-verdict",
@@ -485,6 +490,8 @@ def _tile_payload(**fields) -> str:
         "unknown-field",
         "repeated-blocking-member",
         "unsorted-blocking",
+        "deep-member",
+        "deep-member-base-2",
     ],
 )
 def test_tampered_certificate_raises_certificate_error(fields):
@@ -594,6 +601,22 @@ def test_search_dot_rendering():
     cert = decide_tile_digit_set(4, [0, 1, 4, 5])
     dot = search_dot(cert)
     assert "octagon" in dot and "dashed" in dot
+
+
+# SHA-256 of the DOT renderings of every criterion-08 set and the three
+# recipes, concatenated.  Any change to the explored nodes, their outcomes,
+# the edges or their order changes it.
+SEARCH_DOT_DIGEST = "cd4db8033bdbdbfefe14a60e961ac10746ff6952d23d0fb8745e8980ea017d8c"
+
+
+def test_search_dot_bytes_are_pinned():
+    suites = _criterion_08_suites()
+    suites += [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
+    assert len(suites) == 1797 + 3
+    digest = hashlib.sha256()
+    for base, digits in suites:
+        digest.update(search_dot(decide_tile_digit_set(base, digits)).encode())
+    assert digest.hexdigest() == SEARCH_DOT_DIGEST
 
 
 def test_search_stats_populated():

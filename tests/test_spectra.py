@@ -12,7 +12,7 @@ from cyclotile.cyclo import (
     divide_exact,
     divisors,
     euler_phi,
-    primorial,
+    primes_up_to,
 )
 from cyclotile.digitset import DigitSet
 from cyclotile.errors import CyclotileError, WrongCardinality
@@ -357,7 +357,7 @@ def first_last_partner_test(p, s):
     """Reference copy of the earlier partner test, which asked Mann's
     condition of the first and the last term only."""
     exponents = [e for e, _ in p.terms()]
-    u = s // math.gcd(s, primorial(len(exponents)))
+    u = s // math.gcd(s, math.prod(primes_up_to(len(exponents))))
     return any((e - exponents[0]) % u == 0 for e in exponents[1:]) and any(
         (exponents[-1] - e) % u == 0 for e in exponents[:-1]
     )
