@@ -87,7 +87,6 @@ _EXPORTS = {
         "KenyonReport",
         "ProtasovResult",
         "Vertex",
-        "fiber",
         "kenyon_check",
         "protasov_decide",
         "tau_index",

@@ -531,7 +531,7 @@ def certificate_from_json(text: str) -> Certificate:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise CertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != CERTIFICATE_SCHEMA:
         raise CertificateError("missing or unsupported certificate schema")

@@ -8,6 +8,14 @@ path.  Index totients grow at least geometrically with the level, so the
 search ends without a depth bound.  Nothing here consults the divisor tree
 in phitree; agreement of the two searches is checked in the tests, not
 assumed.
+
+The search walks the tree in pre-order from an explicit stack, and the
+dividing vertices it reaches are the blocking, closed under fibers (the
+level vertices sharing an index) with no second pass.  A vertex (k, m) with
+index t has gcd(m, b**k) = b**k / t, so its ancestor at level j <= k has
+index b**j / gcd(b**k / t, b**j), which depends on (k, t) alone.  A walk that
+ends in a blocking never stopped early, so it reached every fiber mate of a
+hit through ancestors that neither divide nor escape, and recorded it too.
 """
 
 from __future__ import annotations
@@ -24,25 +32,13 @@ from .spectra import MaskContext
 
 @total_ordering
 class Vertex(FrozenRecord):
-    """A residue m at tree level k, ordered by (level, value).
-
-    A search builds one per vertex it visits, so the comparisons and the
-    hash read the two fields directly.
-    """
+    """A residue m at tree level k, ordered by (level, value)."""
 
     __slots__ = ("level", "value")
 
     def __init__(self, level: int, value: int) -> None:
         setfield(self, "level", level)
         setfield(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.level == other.level and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.value))
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -75,26 +71,6 @@ def vertex_label(v: Vertex, base: int) -> str:
         value //= base
     text = [str(d) for d in reversed(out)]
     return ".".join(text) if base > 10 else "".join(text)
-
-
-def fiber(base: int, level: int, index: int) -> tuple[Vertex, ...]:
-    """All level vertices carrying the given index.
-
-    These are r * (base**level / index) for r coprime to the index; when the
-    index belongs to some vertex at the level, every member is a vertex, and
-    the fiber has totient-many elements.
-    """
-    power = base**level
-    if index < 1 or power % index != 0:
-        raise ValueError(f"{index} does not divide base**{level}")
-    unit = power // index
-    out = []
-    for r in range(1, index):
-        if math.gcd(r, index) == 1:
-            v = Vertex(level, r * unit)
-            _check_vertex(v, base)
-            out.append(v)
-    return tuple(out)
 
 
 class ProtasovStats(Record):
@@ -136,47 +112,39 @@ class ProtasovResult(Record):
 def protasov_decide(base: int, digits) -> ProtasovResult:
     """Search the residue tree for a blocking of dividing vertices.
 
-    Fail-fast: one vertex that neither divides nor can be outgrown by any
-    descendant settles absence.  The outcome is always definite.  A vertex
-    at level k ends in a nonzero digit, so some prime p of the base divides
-    its index at least k times and the index's totient is at least
-    2**(k-1).  By level degree.bit_length() + 1 that totient exceeds the
-    degree, so the walk returns at the totient check and needs no depth
-    bound.
+    Fail-fast: the first vertex, in pre-order, that neither divides nor can
+    be outgrown by any descendant settles absence.  Otherwise every path
+    ends at a dividing vertex, and those vertices, sorted by (level, value),
+    are the blocking.  The outcome is always definite.  A vertex at level k
+    ends in a nonzero digit, so some prime p of the base divides its index
+    at least k times and the index's totient is at least 2**(k-1).  By
+    level degree.bit_length() + 1 that totient exceeds the degree, so the
+    walk returns at the totient check and needs no depth bound.
     """
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
     ctx = MaskContext(ds.mask())
     deg = ctx.degree
     stats = ProtasovStats()
-    blocked: list[Vertex] = []
-
-    def walk(value: int, level: int) -> bool:
-        """False when some path below the vertex escapes every division."""
+    hits: list[tuple[int, int]] = []
+    # Children go on in reverse, so the pops visit them in digit order.
+    stack = [(m, 1) for m in range(base - 1, 0, -1)]
+    while stack:
+        value, level = stack.pop()
         stats.vertices += 1
         stats.max_level = max(stats.max_level, level)
         t = tau_index(value, level, base)
         if ctx.divides(t):
-            blocked.append(Vertex(level, value))
-            return True
-        if euler_phi(t) > deg:
-            return False
-        step = base**level
-        return all(walk(l * step + value, level + 1) for l in range(base))
-
-    found = all(walk(m, 1) for m in range(1, base))
+            hits.append((level, value))
+        elif euler_phi(t) > deg:
+            stats.divisions = ctx.tests
+            return ProtasovResult("absent", base, None, stats)
+        else:
+            step = base**level
+            stack.extend((l * step + value, level + 1) for l in range(base - 1, -1, -1))
     stats.divisions = ctx.tests
-    if not found:
-        return ProtasovResult("absent", base, None, stats)
-
-    # Close under fibers: vertices sharing an index stand or fall together,
-    # so the certificate lists whole fibers, never representatives.  Each
-    # blocked vertex lies in its own fiber, and many share one, so each
-    # distinct fiber is closed once.
-    closure: set[Vertex] = set()
-    for level, t in {(v.level, tau_index(v.value, v.level, base)) for v in blocked}:
-        closure.update(fiber(base, level, t))
-    return ProtasovResult("blocking", base, tuple(sorted(closure)), stats)
+    blocking = tuple(Vertex(level, value) for level, value in sorted(hits))
+    return ProtasovResult("blocking", base, blocking, stats)
 
 
 class KenyonReport(FrozenRecord):

@@ -432,10 +432,15 @@ def test_certificate_tampering_detected():
         certificate_from_json("not json at all")
 
 
+# json.dumps cannot write an integer past the interpreter's string-conversion
+# limit of 4,300 digits, so this string stands in for a 5,000-digit literal.
+HUGE = "5000-digit integer"
+
+
 def _tile_payload(**fields) -> str:
     payload = json.loads(certificate_to_json(decide_tile_digit_set(4, [0, 1, 8, 9])))
     payload.update(fields)
-    return json.dumps(payload)
+    return json.dumps(payload).replace(json.dumps(HUGE), "1" * 5000)
 
 
 @pytest.mark.parametrize(
@@ -466,6 +471,8 @@ def _tile_payload(**fields) -> str:
         # Genuine blockings with one member hundreds of levels deep.
         {"blocking": [2, 4**800], "kernel": [2, 4**800]},
         {"base": 2, "digits": [0, 1], "blocking": [2**1500], "kernel": [2**1500]},
+        {"base": HUGE},
+        {"digits": [0, 1, 8, HUGE]},
     ],
     ids=[
         "flipped-verdict",
@@ -492,6 +499,8 @@ def _tile_payload(**fields) -> str:
         "unsorted-blocking",
         "deep-member",
         "deep-member-base-2",
+        "huge-base",
+        "huge-digit",
     ],
 )
 def test_tampered_certificate_raises_certificate_error(fields):

@@ -1,13 +1,11 @@
 """Residue tree search and the per-integer vanishing check."""
 
+import hashlib
 import math
 import random
-from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from cyclotile import protasov
 from cyclotile.cyclo import cyc_divides, euler_phi, expand_indices
 from cyclotile.errors import NotInTree, WrongCardinality
 from cyclotile.intpoly import mask_polynomial
@@ -16,12 +14,12 @@ from cyclotile.productform import load_recipe
 from cyclotile.protasov import (
     KenyonReport,
     Vertex,
-    fiber,
     kenyon_check,
     protasov_decide,
     tau_index,
     vertex_label,
 )
+from test_acceptance import RECIPES, _criterion_08_suites
 
 
 def level_vertices(base, level):
@@ -117,16 +115,6 @@ def test_fiber_sizes_are_totients():
                 groups[t] = groups.get(t, 0) + 1
             for t, count in groups.items():
                 assert count == euler_phi(t)
-                members = fiber(b, level, t)
-                assert len(members) == count
-                assert all(
-                    tau_index(v.value, level, b) == t for v in members
-                )
-
-
-def test_fiber_rejects_non_dividing_index():
-    with pytest.raises(ValueError):
-        fiber(6, 1, 5)
 
 
 def test_blocking_for_b4_tile():
@@ -168,29 +156,28 @@ def test_blocking_closed_under_fibers():
     members = set(result.blocking)
     for v in result.blocking:
         t = tau_index(v.value, v.level, 6)
-        assert set(fiber(6, v.level, t)) <= members
+        fiber = {u for u in level_vertices(6, v.level) if tau_index(u.value, u.level, 6) == t}
+        assert fiber <= members
 
 
-MODULO_DIGITS = load_recipe(
-    Path(__file__).resolve().parents[1] / "recipes" / "b12_modulo.json"
-).digits
+MODULO_DIGITS = load_recipe(RECIPES / "b12_modulo.json").digits
 
 
-@pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])
-def test_each_fiber_closed_once(monkeypatch, base, digits):
-    calls = Counter()
-
-    def counting_fiber(b, level, index):
-        calls[level, index] += 1
-        return fiber(b, level, index)
-
-    monkeypatch.setattr(protasov, "fiber", counting_fiber)
+@pytest.mark.parametrize(
+    "base, digits", [(4, (0, 1, 8, 9)), (6, tuple(range(6))), (12, MODULO_DIGITS)]
+)
+def test_blocking_is_the_union_of_its_fibers(base, digits):
+    # A vertex's ancestors' indices depend on its (level, index) alone, so
+    # the walk reaches every vertex sharing that pair with a hit.
     result = protasov_decide(base, digits)
     keys = {(v.level, tau_index(v.value, v.level, base)) for v in result.blocking}
-    assert set(calls) == keys and set(calls.values()) == {1}
-    # The blocking is exactly the union of the fibers it touches.
-    union = {v for level, t in keys for v in fiber(base, level, t)}
-    assert result.blocking == tuple(sorted(union))
+    union = [
+        v
+        for level in sorted({level for level, _ in keys})
+        for v in level_vertices(base, level)
+        if (level, tau_index(v.value, level, base)) in keys
+    ]
+    assert result.blocking == tuple(union)
 
 
 def test_agreement_with_divisor_tree_search():
@@ -210,6 +197,24 @@ def test_agreement_with_divisor_tree_search():
         assert result.stats.max_level <= max(digits).bit_length() + 1
         agreements += 1
     assert agreements >= 100
+
+
+# SHA-256 of (status, labels, vertices, divisions, max level) of the residue
+# search on every criterion-08 set and the three recipes, one repr a line.
+# Any change to a verdict, a blocking or the order of the walk changes it.
+RESIDUE_ROUTE_DIGEST = "f2f4118001c8d5f335e924f53074a0ea0bfbceec63103ffceabcb8aa028399d7"
+
+
+def test_residue_route_is_pinned():
+    suites = _criterion_08_suites()
+    suites += [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
+    assert len(suites) == 1797 + 3
+    digest = hashlib.sha256()
+    for base, digits in suites:
+        r = protasov_decide(base, digits)
+        row = (r.status, r.labels(), r.stats.vertices, r.stats.divisions, r.stats.max_level)
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == RESIDUE_ROUTE_DIGEST
 
 
 def test_kenyon_frozen():
