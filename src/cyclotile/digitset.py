@@ -38,12 +38,6 @@ class DigitSet(FrozenRecord):
     def __len__(self) -> int:
         return len(self.digits)
 
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __contains__(self, d) -> bool:
-        return d in self.digits
-
     def mask(self) -> IntPoly:
         return _sorted_mask(self.digits)
 

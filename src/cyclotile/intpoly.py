@@ -161,20 +161,6 @@ class IntPoly(FrozenRecord):
             raise ValueError("fold modulus must be positive")
         return IntPoly.from_terms((e % n, c) for e, c in self._terms)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in reversed(self._terms):
-            if e == 0:
-                parts.append(f"{c:+d}")
-            elif e == 1:
-                parts.append(f"{c:+d}*x")
-            else:
-                parts.append(f"{c:+d}*x^{e}")
-        text = " ".join(parts)
-        return text[1:] if text.startswith("+") else text
-
 
 def _validate_digits(digits) -> tuple[int, ...]:
     """The digits in ascending order, checked distinct non-negative integers.

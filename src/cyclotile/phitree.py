@@ -345,46 +345,35 @@ def pk_order(base: int, digits) -> int | None:
     Otherwise take the first power at which at least one expansion factor
     divides; the order is one more than the worst order among all factors
     at that power.  Indices strictly grow into territory where no factor
-    can divide, so the recursion bottoms out.
+    can divide, so the recursion bottoms out.  It needs no memo: every
+    node e has one parent, e // gcd(e, base), so distinct roots, and
+    distinct factors at one power, have disjoint subtrees, and no index is
+    reached twice.
     """
-    return _order(MaskContext(DigitSet.for_tiling(base, digits).mask()), base)
+    ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
+    return _order(ctx, base, root_indices(base))
 
 
-def _order(ctx: MaskContext, base: int) -> int | None:
-    memo: dict[int, int | None] = {}
-    result = 0
-    for d in root_indices(base):
-        got = _index_order(d, base, ctx, memo)
-        if got is None:
-            return None
-        result = max(result, got)
-    return result
-
-
-def _index_order(t: int, base: int, ctx: MaskContext, memo: dict[int, int | None]) -> int | None:
-    """The order of one index (see `pk_order`), memoized in memo."""
-    if t in memo:
-        return memo[t]
-    if _full_divisibility_exponent(t, base, ctx) is not None:
-        memo[t] = 1
-        return 1
-    current: frozenset[int] = frozenset((t,))
-    while True:
-        current = expand_times(current, base, 1)
-        if any(ctx.divides(e) for e in current):
-            break
-        if min(euler_phi(e) for e in current) > ctx.degree:
-            memo[t] = None
-            return None
+def _order(ctx: MaskContext, base: int, indices) -> int | None:
+    """The worst order among the indices (see `pk_order`), or None as soon
+    as one of them has none."""
     worst = 0
-    for e in sorted(current):
-        sub = _index_order(e, base, ctx, memo)
-        if sub is None:
-            memo[t] = None
-            return None
-        worst = max(worst, sub)
-    memo[t] = 1 + worst
-    return memo[t]
+    for t in indices:
+        order = 1
+        if _full_divisibility_exponent(t, base, ctx) is None:
+            current: frozenset[int] = frozenset((t,))
+            while True:
+                current = expand_times(current, base, 1)
+                if any(ctx.divides(e) for e in current):
+                    break
+                if min(euler_phi(e) for e in current) > ctx.degree:
+                    return None
+            below = _order(ctx, base, sorted(current))
+            if below is None:
+                return None
+            order += below
+        worst = max(worst, order)
+    return worst
 
 
 # -- certificates ------------------------------------------------------------
@@ -457,7 +446,7 @@ def _certify(ctx: MaskContext, base: int, digits: tuple[int, ...], cap: int | No
     ctx.candidates
     blocking, stats, trace = _search(ctx, base)
     report = context_report(ctx, base, cap)
-    order = _order(ctx, base) if blocking is not None else None
+    order = _order(ctx, base, root_indices(base)) if blocking is not None else None
     return Certificate(
         base=base,
         digits=digits,
@@ -531,7 +520,7 @@ def certificate_from_json(text: str) -> Certificate:
     """
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, deep nesting
         raise CertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != CERTIFICATE_SCHEMA:
         raise CertificateError("missing or unsupported certificate schema")

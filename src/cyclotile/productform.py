@@ -7,6 +7,14 @@ cyclotomics divide the part mask; accumulating their expansions yields a
 kernel and a modulus per stage, and digits may then be moved by multiples of
 the stage modulus without losing the kernel.  Regrouping a finished digit
 set into new parts and scaling again raises the construction order by one.
+
+Product and modulo product forms share one stage loop: scale the stage's
+part into the direct sum, then apply the stage's moves.  A product form is
+the modulo product form with no moves.  Its scaled sums never collide:
+`stage_kernels` first checks that the parts sum directly onto the residues
+mod b, so the parts at any one exponent do too, and two equal scaled sums,
+reduced mod b one exponent level at a time, take the same digit from
+every part.
 """
 
 from __future__ import annotations
@@ -38,7 +46,10 @@ RECIPE_KINDS = (
 
 
 def _checked_part(part) -> tuple[int, ...]:
-    values = tuple(sorted(part))
+    try:
+        values = tuple(sorted(part))
+    except TypeError:  # digits of mixed types do not compare
+        raise InvalidDecomposition(f"part {part!r} has a bad digit") from None
     if len(values) < 2:
         raise InvalidDecomposition("parts need at least two digits")
     if len(set(values)) != len(values):
@@ -211,23 +222,27 @@ def _apply_representatives(values, reps, modulus: int, stage: int) -> list[int]:
     return sorted(out)
 
 
-def build_product_form(dec: Decomposition) -> Construction:
-    """Scaled direct sum of the parts, with its kernel trace."""
+def _build_stages(dec: Decomposition, kind: str, representatives) -> Construction:
+    """The stage loop: scale each part into the direct sum, then apply that
+    stage's representative map (one per stage)."""
     trace = stage_kernels(dec)
-    digits = list(dec.parts[0])
-    stage_digits = [tuple(digits)]
-    for part, scale in zip(dec.parts[1:], dec.scales()[1:]):
-        digits = _direct_sum(digits, [scale * e for e in part], "product form")
+    digits = [0]
+    stage_digits = []
+    stages = zip(dec.parts, dec.scales(), representatives, trace.moduli)
+    for stage, (part, scale, stage_reps, modulus) in enumerate(stages):
+        digits = _direct_sum(digits, [scale * e for e in part], f"stage {stage}")
+        digits = _apply_representatives(digits, stage_reps, modulus, stage)
         stage_digits.append(tuple(digits))
     ds = DigitSet.of(dec.base, digits)
     ds.require_cardinality()
     return Construction(
-        kind="product-form",
-        digit_set=ds,
-        order=1,
-        trace=trace,
-        stage_digits=tuple(stage_digits),
+        kind=kind, digit_set=ds, order=1, trace=trace, stage_digits=tuple(stage_digits)
     )
+
+
+def build_product_form(dec: Decomposition) -> Construction:
+    """Scaled direct sum of the parts, with its kernel trace."""
+    return _build_stages(dec, "product-form", [{}] * len(dec.parts))
 
 
 def build_modulo_product_form(dec: Decomposition, representatives) -> Construction:
@@ -242,28 +257,11 @@ def build_modulo_product_form(dec: Decomposition, representatives) -> Constructi
         raise InvalidRepresentative(
             f"{len(reps)} representative maps for {len(dec.parts)} stages"
         )
-    while len(reps) < len(dec.parts):
-        reps.append({})
-    trace = stage_kernels(dec)
-    digits = _apply_representatives(dec.parts[0], reps[0], trace.moduli[0], 0)
-    stage_digits = [tuple(digits)]
-    stages = zip(dec.parts[1:], dec.scales()[1:], reps[1:], trace.moduli[1:])
-    for stage, (part, scale, stage_reps, modulus) in enumerate(stages, start=1):
-        digits = _direct_sum(digits, [scale * e for e in part], f"stage {stage}")
-        digits = _apply_representatives(digits, stage_reps, modulus, stage)
-        stage_digits.append(tuple(digits))
-    ds = DigitSet.of(dec.base, digits)
-    ds.require_cardinality()
-    assert cyclotomics_divide(trace.kernel_indices, ds.mask()), (
+    built = _build_stages(dec, "modulo-product-form", reps + [{}] * (len(dec.parts) - len(reps)))
+    assert cyclotomics_divide(built.trace.kernel_indices, built.digit_set.mask()), (
         "stage kernel lost by the modulo moves"
     )
-    return Construction(
-        kind="modulo-product-form",
-        digit_set=ds,
-        order=1,
-        trace=trace,
-        stage_digits=tuple(stage_digits),
-    )
+    return built
 
 
 def build_weak_product_form(dec: Decomposition, representatives) -> Construction:
@@ -340,12 +338,13 @@ def _recipe_representatives(raw) -> list[dict[int, int]]:
         return []
     if isinstance(raw, dict):
         raw = [raw]
-    out = []
     try:
-        for stage in raw:
-            out.append({int(k): int(v) for k, v in stage.items()})
+        out = [{int(k): v for k, v in stage.items()} for stage in raw]
     except (AttributeError, TypeError, ValueError) as exc:
         raise RecipeError(f"bad representatives: {exc}") from exc
+    for v in (v for stage in out for v in stage.values()):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise RecipeError(f"bad representatives: {v!r} is not an integer")
     return out
 
 
@@ -363,7 +362,10 @@ def build_recipe(payload: dict) -> Construction:
         inner_payload = payload.get("inner")
         if not isinstance(inner_payload, dict):
             raise RecipeError("higher-order recipe needs an inner recipe")
-        inner = build_recipe({**inner_payload, "base": inner_payload.get("base", base)})
+        try:
+            inner = build_recipe({**inner_payload, "base": inner_payload.get("base", base)})
+        except RecursionError as exc:
+            raise RecipeError("inner recipes nest too deeply") from exc
         if inner.base != base:
             raise RecipeError("inner recipe uses a different base")
         parts, exponents = _recipe_parts(payload)
@@ -382,10 +384,11 @@ def build_recipe(payload: dict) -> Construction:
 
 def load_recipe(source: str | Path) -> Construction:
     """Parse a recipe from a JSON string or file path and build it."""
-    text = source.read_text() if isinstance(source, Path) else source
+    # ValueError covers bad JSON, bad UTF-8 and an integer past the digit
+    # limit; an OSError from reading the file propagates.
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(source.read_text() if isinstance(source, Path) else source)
+    except (ValueError, RecursionError) as exc:
         raise RecipeError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != RECIPE_SCHEMA:
         raise RecipeError("missing or unsupported recipe schema")

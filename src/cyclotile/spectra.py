@@ -115,7 +115,7 @@ On top of the spectra sit three checks used throughout the package:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 from .cyclo import (
@@ -410,6 +410,11 @@ def check_t2(digits) -> bool:
 
 
 def _t2(ctx: MaskContext) -> bool:
+    """`check_t2` on a context.  For each set of two or more primes, the
+    choices of one prime power per prime run as a Cartesian product over
+    each prime's powers from the largest down, the first prime slowest:
+    the order in which `ctx.divides` is asked, which the stage counters
+    are pinned to."""
     by_prime: dict[int, list[int]] = {}
     for q in ctx.prime_powers:
         base = is_prime_power(q)[0]
@@ -417,15 +422,9 @@ def _t2(ctx: MaskContext) -> bool:
     primes = sorted(by_prime)
     for r in range(2, len(primes) + 1):
         for chosen in combinations(primes, r):
-            stack = [(0, 1)]
-            while stack:
-                i, prod = stack.pop()
-                if i == len(chosen):
-                    if not ctx.divides(prod):
-                        return False
-                    continue
-                for q in by_prime[chosen[i]]:
-                    stack.append((i + 1, prod * q))
+            for powers in product(*(by_prime[p][::-1] for p in chosen)):
+                if not ctx.divides(prod(powers)):
+                    return False
     return True
 
 

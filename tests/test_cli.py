@@ -180,6 +180,14 @@ def test_construct_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_construct_deeply_nested_recipe(capsys, tmp_path):
+    # Too deep for the JSON parser: an error (exit 2), not a not-tile verdict.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "construct", "--recipe", str(path))
+    assert code == 2 and out == "" and "error: not valid JSON" in err
+
+
 def test_kernels_by_degree(capsys):
     code, out, _ = run(capsys, "kernels", "--base", "4", "--max-degree", "9")
     assert code == 0

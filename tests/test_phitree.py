@@ -350,6 +350,23 @@ def test_pk_order_frozen():
         assert pk_order(b, range(b)) == 1
 
 
+# SHA-256 of (pk_order, check_p1's holds, witnesses and failing, check_t2)
+# over every criterion-08 set and the three recipes, one line per set.
+ORDER_DIGEST = "c57786e086c44684029d395f922bbf4226f552da2e47a31c9d59dee3091cf44e"
+
+
+def test_order_p1_and_t2_are_pinned():
+    suites = _criterion_08_suites()
+    suites += [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
+    assert len(suites) == 1800
+    digest = hashlib.sha256()
+    for base, digits in suites:
+        p1 = check_p1(base, digits)
+        row = (pk_order(base, digits), p1.holds, sorted(p1.witnesses.items()), p1.failing)
+        digest.update(repr(row + (spectra.check_t2(digits),)).encode() + b"\n")
+    assert digest.hexdigest() == ORDER_DIGEST
+
+
 def test_blocking_search_on_plain_polynomials():
     got, _, _ = blocking_search(mask_polynomial([0, 1, 2, 3]), 2)
     assert got == frozenset((2,))
@@ -430,6 +447,8 @@ def test_certificate_tampering_detected():
 
     with pytest.raises(CertificateError):
         certificate_from_json("not json at all")
+    with pytest.raises(CertificateError):
+        certificate_from_json("[" * 100_000 + "]" * 100_000)
 
 
 # json.dumps cannot write an integer past the interpreter's string-conversion

@@ -1,10 +1,13 @@
 """Stagewise constructions, kernel traces, and recipes."""
 
+import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from cyclotile.errors import (
+    CyclotileError,
     DirectSumCollision,
     InvalidDecomposition,
     InvalidRegrouping,
@@ -25,6 +28,7 @@ from cyclotile.productform import (
     stage_kernels,
     validate_decomposition,
 )
+from test_acceptance import _random_decomposition
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -46,6 +50,8 @@ def test_decomposition_validation_errors():
         Decomposition(12, ((0, 1), (0,)), (1,))  # degenerate part
     with pytest.raises(InvalidDecomposition):
         Decomposition(12, ((0, 1), (0, 2, 2)), (1,))  # repeated digit
+    with pytest.raises(InvalidDecomposition):
+        Decomposition(12, ((0, 1), (0, "2")), (1,))  # digits that do not compare
 
 
 def test_validate_decomposition():
@@ -131,6 +137,14 @@ def test_weak_product_form():
     assert decide_tile_digit_set(4, built.digits).is_tile
     with pytest.raises(InvalidRepresentative):
         build_weak_product_form(dec, {8: 25})  # 25 != 8 mod 16
+    recipe = {
+        "kind": "weak-product-form",
+        "base": 4,
+        "parts": [[0, 1], [0, 2]],
+        "exponents": [1],
+        "representatives": {"8": 24},
+    }
+    assert build_recipe(recipe).digits == (0, 1, 9, 24)
 
 
 def test_higher_order_regrouping():
@@ -197,9 +211,30 @@ def test_recipe_first_order_variant_fixture():
     )
 
 
-def test_recipe_errors():
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_recipe_errors(tmp_path):
     with pytest.raises(RecipeError):
         load_recipe("not json")
+    with pytest.raises(RecipeError):  # past the interpreter's integer-conversion limit
+        load_recipe('{"schema": "cyclotile.recipe/1", "base": ' + "1" * 5000 + "}")
+    with pytest.raises(RecipeError):
+        load_recipe(DEEP_JSON)
+    (tmp_path / "latin1.json").write_bytes(b'{"schema": "\xe9"}')
+    with pytest.raises(RecipeError):
+        load_recipe(tmp_path / "latin1.json")
+    for value in (17.9, True, "17"):
+        with pytest.raises(RecipeError, match="bad representatives"):
+            build_recipe(
+                {
+                    "kind": "modulo-product-form",
+                    "base": 12,
+                    "parts": [[0, 1], [0, 4, 8], [0, 2]],
+                    "exponents": [0, 1],
+                    "representatives": [{}, {"5": value}, {}],
+                }
+            )
     with pytest.raises(RecipeError):
         load_recipe('{"schema": "other/1"}')
     with pytest.raises(RecipeError):
@@ -220,6 +255,22 @@ def test_recipe_errors():
         )
     with pytest.raises(RecipeError):
         build_recipe({"kind": "higher-order-product-form", "base": 12, "parts": [[0, 1]], "exponents": []})
+
+
+def test_recipe_nesting_past_the_stack_is_refused():
+    # Each level regroups the inner digits as one part, so every level
+    # builds; the chain is parsed as a dict and only the build recurses.
+    recipe = {"kind": "product-form", "base": 4, "parts": [[0, 1], [0, 2]], "exponents": [1]}
+    for _ in range(5000):
+        recipe = {
+            "kind": "higher-order-product-form",
+            "base": 4,
+            "parts": [[0, 1, 8, 9]],
+            "exponents": [],
+            "inner": recipe,
+        }
+    with pytest.raises(RecipeError, match="nest too deeply"):
+        build_recipe(recipe)
 
 
 def test_recipe_inner_base_must_match():
@@ -254,3 +305,43 @@ def test_constructed_digit_sets_always_tile():
         cert = decide_tile_digit_set(built.base, built.digits)
         assert cert.is_tile, dec
         assert cert.order == 1
+
+
+# SHA-256 of 500 seeded random decompositions, each built as a product
+# form, a modulo product form with one random move and a weak product form
+# with one random move: kind, digits, stage digits and trace of each build,
+# or its error's type and message, one line per decomposition.
+CONSTRUCTION_DIGEST = "0c25f6005ff053bb4712835ae94f34e342cd50c8c97ea669ba708f95d838f17c"
+
+
+def _build_record(build) -> tuple:
+    try:
+        made = build()
+    except CyclotileError as exc:
+        return (type(exc).__name__, str(exc))
+    return (made.kind, made.digits, made.stage_digits, made.trace)
+
+
+def _random_move(rng, values, modulus: int) -> dict[int, int]:
+    """Moves one digit by a random multiple of the modulus, sometimes below
+    zero or off by one, so that refused moves are recorded too."""
+    v = rng.choice(values)
+    return {v: v + modulus * rng.randint(-1, 3) + (rng.random() < 0.2)}
+
+
+def test_constructions_are_pinned():
+    rng = random.Random(2020)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        dec = _random_decomposition(rng, rng.choice((4, 6, 8, 9, 10, 12)))
+        plain = build_product_form(dec)
+        stage = rng.randrange(len(dec.parts))
+        reps = [{}] * stage + [_random_move(rng, plain.stage_digits[stage], plain.trace.moduli[stage])]
+        weak = _random_move(rng, plain.digits, dec.base ** (dec.stage_exponents[-1] + 1))
+        rows = (
+            _build_record(lambda: build_product_form(dec)),
+            _build_record(lambda: build_modulo_product_form(dec, reps)),
+            _build_record(lambda: build_weak_product_form(dec, weak)),
+        )
+        digest.update(repr(rows).encode() + b"\n")
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
