@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 from .cyclo import cyc_divides, cyclotomics_divide, divisors, expand_times
@@ -342,7 +343,9 @@ def _recipe_representatives(raw) -> list[dict[int, int]]:
         out = [{int(k): v for k, v in stage.items()} for stage in raw]
     except (AttributeError, TypeError, ValueError) as exc:
         raise RecipeError(f"bad representatives: {exc}") from exc
-    for v in (v for stage in out for v in stage.values()):
+    for k, v in ((k, v) for stage in raw for k, v in stage.items()):
+        if not isinstance(k, str) or not re.fullmatch("0|[1-9][0-9]*", k):
+            raise RecipeError(f"bad representatives: key {k!r} is not a decimal digit")
         if not isinstance(v, int) or isinstance(v, bool):
             raise RecipeError(f"bad representatives: {v!r} is not an integer")
     return out

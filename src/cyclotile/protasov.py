@@ -6,8 +6,9 @@ vertex carries a cyclotomic index b**k / gcd(m, b**k), and a digit set tiles
 exactly when the vertices whose index divides the mask block every infinite
 path.  Index totients grow at least geometrically with the level, so the
 search ends without a depth bound.  Nothing here consults the divisor tree
-in phitree; agreement of the two searches is checked in the tests, not
-assumed.
+in phitree or the per-mask context in spectra: each call memoizes the exact
+`cyclo.cyc_divides` on its own mask, so the two routes share only that test
+and index arithmetic.  Their agreement is checked in the tests, not assumed.
 
 The search walks the tree in pre-order from an explicit stack, and the
 dividing vertices it reaches are the blocking, closed under fibers (the
@@ -21,29 +22,23 @@ hit through ancestors that neither divide nor escape, and recorded it too.
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+from functools import cache, partial
 
-from .cyclo import euler_phi
+from .cyclo import cyc_divides, euler_phi
 from .digitset import DigitSet
 from .errors import NotInTree
 from .record import FrozenRecord, Record, setfield
-from .spectra import MaskContext
+from .spectra import check_degree_budget
 
 
-@total_ordering
 class Vertex(FrozenRecord):
-    """A residue m at tree level k, ordered by (level, value)."""
+    """A residue m at tree level k; the walk sorts (level, value) pairs, not vertices."""
 
     __slots__ = ("level", "value")
 
     def __init__(self, level: int, value: int) -> None:
         setfield(self, "level", level)
         setfield(self, "value", value)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.level, self.value) < (other.level, other.value)
-        return NotImplemented
 
 
 def tau_index(value: int, level: int, base: int) -> int:
@@ -109,6 +104,15 @@ class ProtasovResult(Record):
         return tuple(vertex_label(v, self.base) for v in self.blocking)
 
 
+def _exact_test(base: int, digits):
+    """The mask's degree and a memo of `cyc_divides` on it, within the budget."""
+    ds = DigitSet.of(base, digits)
+    ds.require_cardinality()
+    mask = ds.mask()
+    check_degree_budget(mask)
+    return mask.degree, cache(partial(cyc_divides, p=mask))
+
+
 def protasov_decide(base: int, digits) -> ProtasovResult:
     """Search the residue tree for a blocking of dividing vertices.
 
@@ -121,10 +125,7 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
     level degree.bit_length() + 1 that totient exceeds the degree, so the
     walk returns at the totient check and needs no depth bound.
     """
-    ds = DigitSet.of(base, digits)
-    ds.require_cardinality()
-    ctx = MaskContext(ds.mask())
-    deg = ctx.degree
+    deg, divides = _exact_test(base, digits)
     stats = ProtasovStats()
     hits: list[tuple[int, int]] = []
     # Children go on in reverse, so the pops visit them in digit order.
@@ -134,15 +135,15 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
         stats.vertices += 1
         stats.max_level = max(stats.max_level, level)
         t = tau_index(value, level, base)
-        if ctx.divides(t):
+        if divides(t):
             hits.append((level, value))
         elif euler_phi(t) > deg:
-            stats.divisions = ctx.tests
+            stats.divisions = divides.cache_info().currsize
             return ProtasovResult("absent", base, None, stats)
         else:
             step = base**level
             stack.extend((l * step + value, level + 1) for l in range(base - 1, -1, -1))
-    stats.divisions = ctx.tests
+    stats.divisions = divides.cache_info().currsize
     blocking = tuple(Vertex(level, value) for level, value in sorted(hits))
     return ProtasovResult("blocking", base, blocking, stats)
 
@@ -168,19 +169,13 @@ def kenyon_check(base: int, digits, m_limit: int = 200) -> KenyonReport:
     divisor chain, so the first level whose totient outruns the mask degree
     without a division settles failure for that m.
     """
-    ds = DigitSet.of(base, digits)
-    ds.require_cardinality()
-    ctx = MaskContext(ds.mask())
+    deg, divides = _exact_test(base, digits)
     witnesses: dict[int, int] = {}
     for m in range(1, m_limit + 1):
         k = 1
-        while True:
-            power = base**k
-            t = power // math.gcd(m, power)
-            if ctx.divides(t):
-                witnesses[m] = k
-                break
-            if euler_phi(t) > ctx.degree:
+        while not divides(t := tau_index(m, k, base)):
+            if euler_phi(t) > deg:
                 return KenyonReport(False, witnesses, m, m_limit)
             k += 1
+        witnesses[m] = k
     return KenyonReport(True, witnesses, None, m_limit)

@@ -134,8 +134,8 @@ from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
 from .record import FrozenRecord, setfield
 
-# Largest polynomial degree a MaskContext accepts; a larger mask is refused
-# with CyclotileError before it runs.  The completeness threshold no longer
+# Largest mask degree that `check_degree_budget` lets a MaskContext or the
+# residue-tree route take.  The completeness threshold no longer
 # scales with the degree (`phi_monotone_bound` is a branch and bound, about
 # 1 ms at 10**6), but two costs still do.  `cyclo.factorize` factors every
 # gap between exponents by trial division, which grows with the square root
@@ -145,6 +145,14 @@ from .record import FrozenRecord, setfield
 # with the digits 0..58 and 10**7 takes 5.7 s.  The budget stays until it
 # is replaced by one on those costs.
 MAX_MASK_DEGREE = 10**6
+
+
+def check_degree_budget(p: IntPoly) -> None:
+    """Refuse a polynomial above `MAX_MASK_DEGREE` with CyclotileError."""
+    if p.degree > MAX_MASK_DEGREE:
+        raise CyclotileError(
+            f"polynomial degree {p.degree} exceeds the budget of {MAX_MASK_DEGREE}"
+        )
 
 
 def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, ...]:
@@ -176,9 +184,10 @@ def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, .
 class MaskContext:
     """One nonzero polynomial and everything a decision asks about it.
 
-    Every layer of a decision asks the same question many times: does the
-    s-th cyclotomic divide the mask?  They all ask through one context, so
-    each index is tested once; `tests` counts the distinct indices tested.
+    Every layer of the divisor-tree decision asks the same question many
+    times: does the s-th cyclotomic divide the mask?  They all ask through
+    one context, so each index is tested once; `tests` counts the distinct
+    indices tested.  The residue-tree route asks `cyc_divides` itself.
     An index meets four stages (module docstring), and each distinct index
     is counted by the one that decides it: `partner_rejections` for the
     partner test `may_vanish`, `split_rejections` for the prime-split test
@@ -196,10 +205,7 @@ class MaskContext:
     def __init__(self, p: IntPoly):
         if p.is_zero:
             raise ValueError("cannot analyse the zero polynomial")
-        if p.degree > MAX_MASK_DEGREE:
-            raise CyclotileError(
-                f"polynomial degree {p.degree} exceeds the budget of {MAX_MASK_DEGREE}"
-            )
+        check_degree_budget(p)
         self.poly = p
         self.degree: int = p.degree
         self.tests = 0
@@ -445,9 +451,10 @@ class StructureReport(FrozenRecord):
 def spectrum_structure(base: int, digits) -> StructureReport:
     """For base-many digits: does the prime-power spectrum mirror the base?
 
-    Requires every spectrum prime to divide the base, exactly alpha entries
-    for a prime with multiplicity alpha in the base, and entry exponents
-    covering all residues modulo alpha.  Returns the first violated clause.
+    Requires exactly alpha entries for a prime with multiplicity alpha in
+    the base, and entry exponents covering all residues modulo alpha.  Every
+    spectrum prime p divides the base: Phi_{p**a}(1) = p divides P(1) = base.
+    Returns the first violated clause.
     """
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
@@ -457,26 +464,20 @@ def spectrum_structure(base: int, digits) -> StructureReport:
 def _structure(base: int, spectrum: tuple[int, ...]) -> StructureReport:
     base_factors = dict(factorize(base))
     exps: dict[int, list[int]] = {p: [] for p in base_factors}
-    violation = None
     for q in spectrum:
         p, a = is_prime_power(q)
-        if p not in base_factors:
-            violation = violation or f"spectrum prime {p} does not divide base {base}"
-            continue
         exps[p].append(a)
-    if violation is None:
-        for p, alpha in base_factors.items():
-            if len(exps[p]) != alpha:
-                violation = (
-                    f"prime {p}: expected {alpha} spectrum entries, got {len(exps[p])}"
-                )
-                break
-            if sorted(a % alpha for a in exps[p]) != list(range(alpha)):
-                violation = (
-                    f"prime {p}: exponents {sorted(exps[p])} do not cover all "
-                    f"residues modulo {alpha}"
-                )
-                break
+    violation = None
+    for p, alpha in base_factors.items():
+        if len(exps[p]) != alpha:
+            violation = f"prime {p}: expected {alpha} spectrum entries, got {len(exps[p])}"
+            break
+        if sorted(a % alpha for a in exps[p]) != list(range(alpha)):
+            violation = (
+                f"prime {p}: exponents {sorted(exps[p])} do not cover all "
+                f"residues modulo {alpha}"
+            )
+            break
     return StructureReport(
         passed=violation is None,
         exponents={p: tuple(sorted(v)) for p, v in exps.items()},

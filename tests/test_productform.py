@@ -224,7 +224,11 @@ def test_recipe_errors(tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"schema": "\xe9"}')
     with pytest.raises(RecipeError):
         load_recipe(tmp_path / "latin1.json")
-    for value in (17.9, True, "17"):
+    bad = [("5", 17.9), ("5", True), ("5", "17")]
+    # Keys that int() reads as 5 but that are not a plain ASCII decimal; the
+    # last is the Arabic-Indic digit five.
+    bad += [(key, 17) for key in (" 5 ", "+5", "0_5", "05", "\u0665")]
+    for key, value in bad:
         with pytest.raises(RecipeError, match="bad representatives"):
             build_recipe(
                 {
@@ -232,7 +236,7 @@ def test_recipe_errors(tmp_path):
                     "base": 12,
                     "parts": [[0, 1], [0, 4, 8], [0, 2]],
                     "exponents": [0, 1],
-                    "representatives": [{}, {"5": value}, {}],
+                    "representatives": [{}, {key: value}, {}],
                 }
             )
     with pytest.raises(RecipeError):

@@ -1,13 +1,15 @@
 """Residue tree search and the per-integer vanishing check."""
 
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
+from cyclotile.cli import main
 from cyclotile.cyclo import cyc_divides, euler_phi, expand_indices
-from cyclotile.errors import NotInTree, WrongCardinality
+from cyclotile.errors import CyclotileError, NotInTree, WrongCardinality
 from cyclotile.intpoly import mask_polynomial
 from cyclotile.phitree import decide_tile_digit_set
 from cyclotile.productform import load_recipe
@@ -19,6 +21,7 @@ from cyclotile.protasov import (
     tau_index,
     vertex_label,
 )
+from cyclotile.spectra import MaskContext
 from test_acceptance import RECIPES, _criterion_08_suites
 
 
@@ -32,6 +35,32 @@ def vertex_children(v, base):
     """The vertices one level down that extend v by a leading digit."""
     step = base**v.level
     return tuple(Vertex(v.level + 1, l * step + v.value) for l in range(base))
+
+
+def carry_walk_tiles(base, digits):
+    """A third route to the tile decision that imports nothing from the
+    package: True when no two strings of digits share a value in base b.
+
+    A collision is a nonzero string of differences d_0, d_1, ... in D - D
+    with sum(b**i * d_i) = 0.  From carry 0, each step adds a difference,
+    must leave a multiple of b and divides by it; a collision is a walk
+    that comes back to carry 0.  Every carry stays within
+    max|D - D| / (b - 1), so the walk is finite.  With #D = b, no collision
+    is exactly a tile (Lagarias and Wang, Adv. Math. 121, 1996).
+    """
+    diffs = {a - c for a in digits for c in digits}
+    todo = [d // base for d in diffs if d and d % base == 0]
+    seen = set(todo)
+    while todo:
+        carry = todo.pop()
+        if carry == 0:
+            return False
+        for d in diffs:
+            step, rest = divmod(carry + d, base)
+            if not rest and step not in seen:
+                seen.add(step)
+                todo.append(step)
+    return True
 
 
 def test_tau_index_frozen():
@@ -77,9 +106,8 @@ def test_level_vertices():
     level2 = level_vertices(6, 2)
     assert len(level2) == 30  # 36 residues minus the 6 ending in zero
     assert all(v.value % 6 != 0 for v in level2)
-    # Vertices order by (level, value), never by value alone.
-    assert sorted(reversed(level2 + level_vertices(6, 1))) == [*level_vertices(6, 1), *level2]
-    assert Vertex(1, 5) < Vertex(2, 1) <= Vertex(2, 1) < Vertex(2, 7) and Vertex(2, 7) > Vertex(1, 5)
+    by_level = sorted(reversed(level2 + level_vertices(6, 1)), key=lambda v: (v.level, v.value))
+    assert by_level == [*level_vertices(6, 1), *level2]
 
 
 def test_vertex_children():
@@ -91,7 +119,7 @@ def test_vertex_children():
     # the parent level's base power.
     for b in (4, 6, 12):
         below = [c for u in level_vertices(b, 1) for c in vertex_children(u, b)]
-        assert sorted(below) == list(level_vertices(b, 2))
+        assert sorted(below, key=lambda v: (v.level, v.value)) == list(level_vertices(b, 2))
 
 
 def test_children_indices_match_expansion():
@@ -253,3 +281,77 @@ def test_kenyon_handles_base_power_multiples():
     report = kenyon_check(4, [0, 1, 8, 9], m_limit=64)
     assert report.holds
     assert report.witnesses[64] >= 3
+
+
+def _census(base, top):
+    """Every digit set {0} and b - 1 of 1..top with gcd 1."""
+    for rest in itertools.combinations(range(1, top + 1), base - 1):
+        if math.gcd(*rest) == 1:
+            yield (0, *rest)
+
+
+# SHA-256 of the repr of each census's tile list, in the order `_census`
+# yields the sets.
+@pytest.mark.parametrize(
+    "base, top, sets, tiles, non_residue, digest",
+    [
+        (4, 40, 8410, 1025, 73, "4038ab3484df33a3b383e16704dec097f551907531837d7114f076deac3d0a47"),
+        (6, 18, 8436, 243, 0, "389de17021ec31702e041b4e632a178f88c9f81cfd4bd54099a048cef3adfa94"),
+    ],
+    ids=["b4-top40", "b6-top18"],
+)
+def test_census_routes_agree(base, top, sets, tiles, non_residue, digest):
+    # The criterion-08 tiles are nearly all complete residue systems; an
+    # exhaustive census reaches the others.  The carry walk shares no code
+    # with the two cyclotomic deciders.
+    found = []
+    count = 0
+    for digits in _census(base, top):
+        count += 1
+        tile = decide_tile_digit_set(base, digits).is_tile
+        assert protasov_decide(base, digits).is_tile == tile, digits
+        assert carry_walk_tiles(base, digits) == tile, digits
+        if tile:
+            found.append(digits)
+    assert (count, len(found)) == (sets, tiles)
+    assert sum(len({d % base for d in ds}) < base for ds in found) == non_residue
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def test_a_lying_divides_flips_only_the_divisor_tree(monkeypatch, capsys):
+    # One wrong answer from the per-mask context: Phi_16 divides the mask of
+    # {0, 1, 8, 9} but the context says it does not.  The residue route and
+    # the carry walk do not ask the context, so the cross-check disagrees.
+    honest = MaskContext.divides
+    monkeypatch.setattr(MaskContext, "divides", lambda self, s: s != 16 and honest(self, s))
+    assert main(["analyze", "--base", "4", "--digits", "0,1,8,9", "--cross-check"]) == 3
+    assert "disagreement" in capsys.readouterr().err
+    assert protasov_decide(4, (0, 1, 8, 9)).is_tile
+    assert carry_walk_tiles(4, (0, 1, 8, 9))
+
+
+def test_residue_route_builds_no_context_and_keeps_the_budget(monkeypatch):
+    recipes = [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
+    over = (0, 1, 10**6 + 1)
+    with pytest.raises(CyclotileError) as refused:
+        MaskContext(mask_polynomial(over))
+
+    def no_context(self, p):
+        raise AssertionError("the residue route built a MaskContext")
+
+    monkeypatch.setattr(MaskContext, "__init__", no_context)
+    got = []
+    for base, digits in recipes:
+        r = protasov_decide(base, digits)
+        k = kenyon_check(base, digits)
+        stats = (r.stats.vertices, r.stats.divisions, r.stats.max_level)
+        got.append((r.status, len(r.blocking), stats, k.holds, sum(k.witnesses.values())))
+    assert got == [  # first-order variant, modulo, second order
+        ("blocking", 1441, (1571, 22, 3), True, 581),
+        ("blocking", 33, (35, 7, 2), True, 253),
+        ("blocking", 3553, (3875, 23, 4), True, 605),
+    ]
+    for route in (protasov_decide, kenyon_check):
+        with pytest.raises(CyclotileError) as caught:
+            route(3, over)
+        assert str(caught.value) == str(refused.value)
