@@ -72,62 +72,48 @@ class SearchStats(Record):
 
     __slots__ = ("nodes", "divisions", "max_depth", "pruned")
 
-    def __init__(
-        self, nodes: int = 0, divisions: int = 0, max_depth: int = 0, pruned: int = 0
-    ) -> None:
+    def __init__(self, nodes: int, divisions: int, max_depth: int, pruned: int) -> None:
         self.nodes = nodes
         self.divisions = divisions
         self.max_depth = max_depth
         self.pruned = pruned
 
 
-class SearchTrace(Record):
-    """Node outcomes (hit/expanded/pruned) in visit order, for rendering."""
-
-    __slots__ = ("status",)
-
-    def __init__(self, status: dict[int, str] | None = None) -> None:
-        self.status = {} if status is None else status
-
-
 def blocking_search(p: IntPoly, b: int):
     """First-hit blocking of the tree whose members all divide p.
 
-    Returns (blocking indices or None, stats, trace).  None means some
+    Returns (blocking indices or None, stats, outcomes).  None means some
     branch provably escapes: every node on it fails to divide and the
-    totient bound rules out all deeper nodes.  Works for any nonzero p, not
-    only base-cardinality masks; the absolute-continuity oracle relies on
-    that.
+    totient bound rules out all deeper nodes.  The outcomes map each visited
+    node to "hit", "expanded" or "pruned", in visit order.  Works for any
+    nonzero p, not only base-cardinality masks (the continuity oracle's use).
     """
     return _search(MaskContext(p), b)
 
 
 def _search(ctx: MaskContext, b: int):
     start = ctx.tests
-    stats = SearchStats()
-    trace = SearchTrace()
-    hits: list[int] = []
+    status: dict[int, str] = {}
     blocking: frozenset | None = None
+    max_depth = 0
     # Reversed on the stack, so that nodes are visited in pre-order.
     stack = [(d, 0) for d in reversed(root_indices(b))]
     while stack:
         e, depth = stack.pop()
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
+        max_depth = max(max_depth, depth)
         if ctx.divides(e):
-            trace.status[e] = "hit"
-            hits.append(e)
+            status[e] = "hit"
         elif euler_phi(e) > ctx.degree:
-            trace.status[e] = "pruned"
-            stats.pruned += 1
+            status[e] = "pruned"
             break
         else:
-            trace.status[e] = "expanded"
+            status[e] = "expanded"
             stack.extend((c, depth + 1) for c in reversed(children(e, b)))
     else:  # no branch escaped
-        blocking = frozenset(hits)
-    stats.divisions = ctx.tests - start
-    return blocking, stats, trace
+        blocking = frozenset(e for e, outcome in status.items() if outcome == "hit")
+    # No node is popped twice (one parent each), and a walk prunes once, then stops.
+    stats = SearchStats(len(status), ctx.tests - start, max_depth, int(blocking is None))
+    return blocking, stats, status
 
 
 class Blocking(FrozenRecord):
@@ -382,7 +368,7 @@ def _order(ctx: MaskContext, base: int, indices) -> int | None:
 class Certificate(Record):
     """Outcome of the decision procedure, self-verifying via its kernel.
 
-    `verdict` is "tile" or "not-tile".
+    `verdict` is "tile" or "not-tile"; `trace` holds the search's node outcomes.
     """
 
     __slots__ = (
@@ -406,7 +392,7 @@ class Certificate(Record):
         order: int | None,
         report: SpectrumReport,
         stats: SearchStats | None = None,
-        trace: SearchTrace | None = None,
+        trace: dict[int, str] | None = None,
         protasov_blocking: tuple[str, ...] | None = None,
     ) -> None:
         self.base = base
@@ -556,7 +542,10 @@ def certificate_from_json(text: str) -> Certificate:
     if "protasov_blocking" in payload:
         from .protasov import protasov_decide
 
-        cert.protasov_blocking = protasov_decide(base, ds.digits).labels()
+        try:
+            cert.protasov_blocking = protasov_decide(base, ds.digits).labels()
+        except CyclotileError as exc:  # the residue walk's budget
+            raise CertificateError(f"protasov_blocking: {exc}") from exc
     expected = _payload(cert)
     if "search" not in payload:
         del expected["search"]
@@ -591,17 +580,15 @@ def search_dot(cert: Certificate) -> str:
         '  node [shape=circle, fontname="Helvetica"];',
     ]
     shapes = {"hit": "doublecircle", "pruned": "octagon"}
-    for e in sorted(cert.trace.status):
-        status = cert.trace.status[e]
+    for e, status in sorted(cert.trace.items()):
         attrs = [f"shape={shapes[status]}"] if status in shapes else []
         if status == "hit":
-            attrs.append("style=filled")
-            attrs.append('fillcolor="palegreen"')
+            attrs += ["style=filled", 'fillcolor="palegreen"']
         if status == "pruned":
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{e}"{suffix};')
-    for child in cert.trace.status:
+    for child in cert.trace:
         parent = child // math.gcd(child, cert.base)
         if parent > 1:
             lines.append(f'  "{parent}" -> "{child}";')

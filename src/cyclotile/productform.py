@@ -337,18 +337,15 @@ def _recipe_parts(payload: dict) -> tuple[tuple[tuple[int, ...], ...], tuple[int
 def _recipe_representatives(raw) -> list[dict[int, int]]:
     if raw is None:
         return []
-    if isinstance(raw, dict):
-        raw = [raw]
-    try:
-        out = [{int(k): v for k, v in stage.items()} for stage in raw]
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise RecipeError(f"bad representatives: {exc}") from exc
-    for k, v in ((k, v) for stage in raw for k, v in stage.items()):
+    stages = [raw] if isinstance(raw, dict) else raw
+    if not (isinstance(stages, list) and all(isinstance(stage, dict) for stage in stages)):
+        raise RecipeError("bad representatives: need an object or a list of objects")
+    for k, v in ((k, v) for stage in stages for k, v in stage.items()):
         if not isinstance(k, str) or not re.fullmatch("0|[1-9][0-9]*", k):
             raise RecipeError(f"bad representatives: key {k!r} is not a decimal digit")
         if not isinstance(v, int) or isinstance(v, bool):
             raise RecipeError(f"bad representatives: {v!r} is not an integer")
-    return out
+    return [{int(k): v for k, v in stage.items()} for stage in stages]
 
 
 def build_recipe(payload: dict) -> Construction:

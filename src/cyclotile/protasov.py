@@ -26,7 +26,7 @@ from functools import cache, partial
 
 from .cyclo import cyc_divides, euler_phi
 from .digitset import DigitSet
-from .errors import NotInTree
+from .errors import CyclotileError, NotInTree
 from .record import FrozenRecord, Record, setfield
 from .spectra import check_degree_budget
 
@@ -113,6 +113,14 @@ def _exact_test(base: int, digits):
     return mask.degree, cache(partial(cyc_divides, p=mask))
 
 
+# Most vertices `protasov_decide` pops.  The degree budget does not bound
+# the walk's width: base 4 {0, 1, 2*4**k, 2*4**k + 1} visits about
+# 2 * 4**(k+1) / 3 vertices, 699,051 at k = 9 in 1.9 s and near 100 MB,
+# all within degree 10**6.  The recipes visit at most 3,875 vertices, the
+# criterion-08 sets at most 11 and base 30 {0..29} 29.
+MAX_RESIDUE_VERTICES = 100_000
+
+
 def protasov_decide(base: int, digits) -> ProtasovResult:
     """Search the residue tree for a blocking of dividing vertices.
 
@@ -123,7 +131,8 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
     ends in a nonzero digit, so some prime p of the base divides its index
     at least k times and the index's totient is at least 2**(k-1).  By
     level degree.bit_length() + 1 that totient exceeds the degree, so the
-    walk returns at the totient check and needs no depth bound.
+    walk returns at the totient check and needs no depth bound; it raises
+    CyclotileError once it pops more than MAX_RESIDUE_VERTICES vertices.
     """
     deg, divides = _exact_test(base, digits)
     stats = ProtasovStats()
@@ -133,6 +142,10 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
     while stack:
         value, level = stack.pop()
         stats.vertices += 1
+        if stats.vertices > MAX_RESIDUE_VERTICES:
+            raise CyclotileError(
+                f"the residue walk exceeds the budget of {MAX_RESIDUE_VERTICES} vertices"
+            )
         stats.max_level = max(stats.max_level, level)
         t = tau_index(value, level, base)
         if divides(t):

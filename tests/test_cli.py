@@ -89,14 +89,25 @@ def test_analyze_refuses_spectrum_cap_below_one(capsys, cap):
     assert err == f"error: spectrum cap must be at least 1, got {cap}\n"
 
 
-def test_disagreement_exit_code(capsys, monkeypatch):
-    fake = SimpleNamespace(status="absent", is_tile=False, blocking=None)
-    monkeypatch.setattr(protasov, "protasov_decide", lambda base, digits: fake)
+@pytest.mark.parametrize(
+    "route, fake, complaint",
+    [
+        (
+            "protasov_decide",
+            SimpleNamespace(status="absent", is_tile=False, blocking=None),
+            "integer-tree search says 'absent'",
+        ),
+        ("kenyon_check", protasov.KenyonReport(False, {}, 7, 200), "level check fails at m = 7"),
+    ],
+    ids=["residue-tree", "level-check"],
+)
+def test_disagreement_exit_code(capsys, monkeypatch, route, fake, complaint):
+    monkeypatch.setattr(protasov, route, lambda base, digits: fake)
     code, _, err = run(
         capsys, "analyze", "--base", "4", "--digits", "0,1,8,9", "--cross-check"
     )
     assert code == 3
-    assert "disagreement" in err
+    assert err.startswith("disagreement:") and complaint in err
 
 
 def test_construct_modulo_fixture(capsys):
@@ -197,6 +208,15 @@ def test_kernels_by_degree(capsys):
         "degree    6  indices 4,8",
         "degree    9  indices 2,16",
     ]
+
+
+def test_kernels_below_the_root_degree(capsys):
+    # The root blocking of base 4 has degree 3, so degree 0 admits none.
+    assert run(capsys, "kernels", "--base", "4", "--max-degree", "0") == (0, "none\n", "")
+    code, out, err = run(
+        capsys, "kernels", "--base", "4", "--max-degree", "0", "--format", "json"
+    )
+    assert (code, json.loads(out), err) == (0, [], "")
 
 
 def test_kernels_for_digits(capsys):

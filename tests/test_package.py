@@ -31,7 +31,7 @@ from cyclotile import (
     stage_kernels,
     tile_intervals,
 )
-from cyclotile.phitree import P1Report, SearchStats, SearchTrace
+from cyclotile.phitree import P1Report, SearchStats
 from cyclotile.protasov import ProtasovStats
 from cyclotile.spectra import MaskContext, context_report
 
@@ -159,7 +159,6 @@ RECORDS = [
     ("Blocking", "hashable", lambda: cyclotile.Blocking(4, (2, 16))),
     ("P1Report", "frozen", lambda: check_p1(*_TILE)),
     ("SearchStats", "mutable", lambda: SearchStats(5, 4, 3, 2)),
-    ("SearchTrace", "mutable", lambda: SearchTrace({2: "expanded", 8: "hit"})),
     ("Certificate", "mutable", lambda: decide_tile_digit_set(*_TILE)),
     ("GeneralSpectrum", "hashable", lambda: cyclotile.GeneralSpectrum((2, 16), 100, 96, False)),
     ("StructureReport", "frozen", lambda: spectrum_structure(*_TILE)),
@@ -182,7 +181,6 @@ NAMESPACE = {
     "P1Report": P1Report,
     "ProtasovStats": ProtasovStats,
     "SearchStats": SearchStats,
-    "SearchTrace": SearchTrace,
 }
 
 

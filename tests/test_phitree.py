@@ -253,6 +253,7 @@ def test_enumerate_blockings_frozen():
         (4, 8),
         (2, 16),
     ]
+    assert enumerate_blockings(4, 0) == []
     assert [blk.indices for blk in enumerate_blockings(4, 3)] == [(2, 4)]
     assert [blk.indices for blk in enumerate_blockings(6, 5)] == [(2, 3, 6)]
     assert [blk.indices for blk in enumerate_blockings(2, 8)] == [
@@ -443,6 +444,19 @@ def test_certificate_tampering_detected():
     broken = dict(payload)
     broken["schema"] = "cyclotile.certificate/0"
     with pytest.raises(CertificateError):
+        certificate_from_json(json.dumps(broken))
+
+    # A repeat, a negative digit, too few digits, no 0, digit gcd 2, past the degree budget.
+    refused = [[0, 1, 8, 8], [0, 1, 8, -9], [0, 1, 8], [1, 2, 8, 9], [0, 2, 4, 6]]
+    for digits in refused + [[0, 1, 1000001, 1000002]]:
+        broken = dict(payload)
+        broken["digits"] = digits
+        with pytest.raises(CertificateError, match="^invalid digit set:"):
+            certificate_from_json(json.dumps(broken))
+
+    broken = dict(payload)
+    del broken["t1"]
+    with pytest.raises(CertificateError, match="^missing field 't1'$"):
         certificate_from_json(json.dumps(broken))
 
     with pytest.raises(CertificateError):

@@ -224,21 +224,26 @@ def test_recipe_errors(tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"schema": "\xe9"}')
     with pytest.raises(RecipeError):
         load_recipe(tmp_path / "latin1.json")
-    bad = [("5", 17.9), ("5", True), ("5", "17")]
+    bad = [[{}, {"5": value}, {}] for value in (17.9, True, "17")]
     # Keys that int() reads as 5 but that are not a plain ASCII decimal; the
     # last is the Arabic-Indic digit five.
-    bad += [(key, 17) for key in (" 5 ", "+5", "0_5", "05", "\u0665")]
-    for key, value in bad:
-        with pytest.raises(RecipeError, match="bad representatives"):
+    bad += [[{}, {key: 17}, {}] for key in (" 5 ", "+5", "0_5", "05", "\u0665")]
+    # Maps of the wrong shape, or with a key int() cannot read, are refused in
+    # the recipe's own terms, not with an error from inside the conversion.
+    bad += [[[1, 2]], [{"x": 3}], "ab", [{"5": 17}, 7]]
+    for raw in bad:
+        with pytest.raises(RecipeError, match="bad representatives") as refused:
             build_recipe(
                 {
                     "kind": "modulo-product-form",
                     "base": 12,
                     "parts": [[0, 1], [0, 4, 8], [0, 2]],
                     "exponents": [0, 1],
-                    "representatives": [{}, {key: value}, {}],
+                    "representatives": raw,
                 }
             )
+        assert "attribute" not in str(refused.value)
+        assert "invalid literal" not in str(refused.value)
     with pytest.raises(RecipeError):
         load_recipe('{"schema": "other/1"}')
     with pytest.raises(RecipeError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -9,11 +10,12 @@ import pytest
 
 from cyclotile.cli import main
 from cyclotile.cyclo import cyc_divides, euler_phi, expand_indices
-from cyclotile.errors import CyclotileError, NotInTree, WrongCardinality
+from cyclotile.errors import CertificateError, CyclotileError, NotInTree, WrongCardinality
 from cyclotile.intpoly import mask_polynomial
-from cyclotile.phitree import decide_tile_digit_set
+from cyclotile.phitree import certificate_from_json, certificate_to_json, decide_tile_digit_set
 from cyclotile.productform import load_recipe
 from cyclotile.protasov import (
+    MAX_RESIDUE_VERTICES,
     KenyonReport,
     Vertex,
     kenyon_check,
@@ -355,3 +357,17 @@ def test_residue_route_builds_no_context_and_keeps_the_budget(monkeypatch):
         with pytest.raises(CyclotileError) as caught:
             route(3, over)
         assert str(caught.value) == str(refused.value)
+
+
+def test_residue_walk_has_a_vertex_budget(capsys):
+    # Inside the degree budget, yet the walk would visit 174,763 vertices.
+    wide = (0, 1, 2 * 4**8, 2 * 4**8 + 1)
+    with pytest.raises(CyclotileError, match=f"budget of {MAX_RESIDUE_VERTICES} vertices"):
+        protasov_decide(4, wide)
+    argv = ["analyze", "--base", "4", "--digits", ",".join(map(str, wide)), "--cross-check"]
+    assert main(argv) == 2
+    assert "budget of" in capsys.readouterr().err
+    payload = json.loads(certificate_to_json(decide_tile_digit_set(4, wide)))
+    payload["protasov_blocking"] = []
+    with pytest.raises(CertificateError, match="^protasov_blocking: .*budget of"):
+        certificate_from_json(json.dumps(payload))
