@@ -21,7 +21,6 @@ division.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import index
 
 from .errors import InvalidDigitSet
@@ -107,23 +106,9 @@ class IntPoly(FrozenRecord):
         """Nonzero (exponent, coefficient) pairs, ascending."""
         return self._terms
 
-    def coefficient(self, e: int) -> int:
-        i = bisect_left(self._terms, (e,))
-        if i < len(self._terms) and self._terms[i][0] == e:
-            return self._terms[i][1]
-        return 0
-
     def at_one(self) -> int:
         """Value at x = 1, i.e. the coefficient sum."""
         return sum(c for _, c in self._terms)
-
-    def __call__(self, x: int) -> int:
-        # Horner's rule over the gaps between consecutive exponents.
-        acc, top = 0, self.degree or 0
-        for e, c in reversed(self._terms):
-            acc = acc * x ** (top - e) + c
-            top = e
-        return acc * x**top
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -427,9 +427,6 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
 
 
 def _certify(ctx: MaskContext, base: int, digits: tuple[int, ...], cap: int | None) -> Certificate:
-    # The report reads the candidate table anyway; built first, it also
-    # rejects the search's non-candidates at once.
-    ctx.candidates
     blocking, stats, trace = _search(ctx, base)
     report = context_report(ctx, base, cap)
     order = _order(ctx, base, root_indices(base)) if blocking is not None else None

@@ -26,8 +26,8 @@ prime of m' once, so the prime-split stage drops the whole family when
 some such p is blocked at v_p(u) + 1, and a prime blocked at exponent 1
 never enters m'.
 
-A certificate builds the candidate table before its blocking search.  From
-then on, an index in 2..T that is not a candidate is rejected at once: it
+Every context builds its threshold, candidate table and Horner scheme when
+it is made; an index in 2..T is answered by the table.  One off the table
 fails the partner or the prime-split stage, and the memoized partner test
 says which of the two to count.  A candidate goes straight to the modular
 stage.  Index 1 and the indices above T are not in the table's range and
@@ -193,13 +193,12 @@ class MaskContext:
     partner test `may_vanish`, `split_rejections` for the prime-split test
     `may_vanish_split`, `modular_rejections` for the evaluation modulo a
     prime, and `exact_tests` for the exact `cyc_divides`; the four add up
-    to `tests`.  The threshold, the candidates, the prime-power spectrum,
-    the prime-split table and the modular stage's Horner scheme are built
-    on first use, so a context that only searches never computes most of
-    them.  Once `candidates` is built, an index in 2..threshold off the
-    table is rejected without the stages, and counted under the partner
-    stage when `may_vanish` fails and under the prime-split stage
-    otherwise: the same answer and the same count as the stages give.
+    to `tests`.  Every context builds its threshold, candidate table and
+    Horner scheme when it is made; an index in 2..threshold is answered by
+    the table.  One off the table is counted under the partner stage when
+    `may_vanish` fails and under the prime-split stage otherwise: the same
+    answer and the same count as the stages give.  The prime-power
+    spectrum is built on first use, because it asks `divides`.
     """
 
     def __init__(self, p: IntPoly):
@@ -208,7 +207,6 @@ class MaskContext:
         check_degree_budget(p)
         self.poly = p
         self.degree: int = p.degree
-        self.tests = 0
         self.partner_rejections = 0
         self.split_rejections = 0
         self.modular_rejections = 0
@@ -216,10 +214,27 @@ class MaskContext:
         self._divides: dict[int, bool] = {}
         self._partnered: dict[int, bool] = {}
         self._split: dict[tuple[int, int], bool] = {}
-        self._candidate_set: frozenset[int] | None = None
-        self._exponents = [e for e, _ in p.terms()]
-        self._primes = primes_up_to(len(self._exponents))
+        exps = self._exponents = [e for e, _ in p.terms()]
+        self._primes = primes_up_to(len(exps))
         self._primorial = prod(self._primes)
+        # No index above the threshold can divide the polynomial; 1 for a
+        # constant.
+        self.threshold: int = completeness_threshold(self.degree) if self.degree > 0 else 1
+        # Every index in 2..threshold that passes `may_vanish` and
+        # `may_vanish_split`, ascending (`_candidate_indices`).
+        self.candidates = _candidate_indices(self, self._primes, self.threshold)
+        self._candidate_set = frozenset(self.candidates)
+        # Horner's scheme for P / x**e_0 from the top term down: each
+        # coefficient with the gap to the next exponent (0 for the top
+        # one), and the set of those gaps.
+        steps = [b - a for a, b in zip(exps, exps[1:])] + [0]
+        self._horner = tuple(zip((c for _, c in p.terms()), steps))[::-1]
+        self._steps = frozenset(steps)
+
+    @property
+    def tests(self) -> int:
+        """The distinct indices tested."""
+        return len(self._divides)
 
     def may_vanish(self, s: int) -> bool:
         """Mann's necessary condition for the s-th cyclotomic to divide the
@@ -273,15 +288,6 @@ class MaskContext:
                     return False
         return True
 
-    @cached_property
-    def _horner(self) -> tuple[tuple[tuple[int, int], ...], frozenset[int]]:
-        """Horner's scheme for P / x**e_0 from the top term down: each
-        coefficient with the gap to the next exponent (0 for the top one),
-        and the set of those gaps."""
-        exps = self._exponents
-        steps = [b - a for a, b in zip(exps, exps[1:])] + [0]
-        return tuple(zip((c for _, c in self.poly.terms()), steps))[::-1], frozenset(steps)
-
     def may_vanish_mod_prime(self, s: int) -> bool:
         """The polynomial vanishes at a root of the s-th cyclotomic modulo a
         prime (module docstring).
@@ -293,22 +299,19 @@ class MaskContext:
         if root is None:
             return True
         ell, w = root
-        horner, steps = self._horner
-        power = {g: pow(w, g % s, ell) for g in steps}
+        power = {g: pow(w, g % s, ell) for g in self._steps}
         acc = 0
-        for c, g in horner:
+        for c, g in self._horner:
             acc = (acc * power[g] + c) % ell
         return acc == 0
 
     def divides(self, s: int) -> bool:
         hit = self._divides.get(s)
         if hit is None:
-            self.tests += 1
-            table = self._candidate_set
             # The candidates in 2..threshold are exactly the indices there
             # that pass the partner and prime-split stages.
-            if table is not None and 1 < s <= self.threshold:
-                passed = s in table
+            if 1 < s <= self.threshold:
+                passed = s in self._candidate_set
             else:
                 passed = self.may_vanish(s) and self.may_vanish_split(s)
             if not passed:
@@ -327,22 +330,6 @@ class MaskContext:
                 hit = cyc_divides(s, self.poly)
             self._divides[s] = hit
         return hit
-
-    @cached_property
-    def threshold(self) -> int:
-        """No index above this can divide the polynomial; 1 for a constant."""
-        return completeness_threshold(self.degree) if self.degree > 0 else 1
-
-    @cached_property
-    def candidates(self) -> tuple[int, ...]:
-        """Every index in 2..threshold that passes `may_vanish` and
-        `may_vanish_split`, ascending: for each partnered u dividing a gap
-        from the first exponent and a gap to the last, the indices
-        u * gcd(u, M) * m' that the prime-split test lets through (module
-        docstring)."""
-        found = _candidate_indices(self, self._primes, self.threshold)
-        self._candidate_set = frozenset(found)
-        return found
 
     @cached_property
     def prime_powers(self) -> tuple[int, ...]:
@@ -515,8 +502,7 @@ def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> Spect
     the report's complete flag records which situation applies.
     """
     if cap is None:
-        deg = ctx.degree or 1
-        cap = min(completeness_threshold(deg), max(100, 4 * deg))
+        cap = min(ctx.threshold, max(100, 4 * ctx.degree))
     return SpectrumReport(
         prime_powers=ctx.prime_powers,
         general=_general_spectrum(ctx, cap),

@@ -263,6 +263,8 @@ def test_geometry_text(capsys):
     assert code == 0
     assert "[0, 1] ∪ [2, 3]" in out
     assert "measure 2" in out
+    code, out, _ = run(capsys, "geometry", "--base", "4", "--digits", "0", "--depth", "0")
+    assert (code, out) == (0, "empty\nmeasure 0\n")
 
 
 def test_geometry_refuses_svg(capsys):
@@ -288,6 +290,10 @@ def test_oracle_text(capsys):
     assert "period 8, complement 0,2" in out
     assert "first collision at level 2" in out
     assert "continuity: rejected" in out
+    code, out, _ = run(capsys, "oracle", "--digits", "0,1,8,9", "--base", "4")
+    assert code == 0
+    assert "direct sums: no collision up to depth 4 (heuristic)" in out
+    assert "continuity: accepted, blocking 2,16" in out
 
 
 def test_oracle_absent(capsys):

@@ -64,6 +64,8 @@ def test_factorize_and_euler_phi():
     assert factorize(1) == ()
     assert factorize(12) == ((2, 2), (3, 1))
     assert factorize(97) == ((97, 1),)
+    with pytest.raises(ValueError, match="factorize needs a positive integer"):
+        factorize(0)
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     assert euler_phi(6912) == 2304
@@ -90,6 +92,9 @@ def test_cyclotomic_small_values_frozen():
     assert cyclotomic(6) == IntPoly((1, -1, 1))
     assert cyclotomic(12) == IntPoly((1, 0, -1, 0, 1))
     assert cyclotomic(16) == IntPoly((1, 0, 0, 0, 0, 0, 0, 0, 1))
+    for index_zero in (cyclotomic, phi_at_one):
+        with pytest.raises(ValueError, match="cyclotomic index must be positive"):
+            index_zero(0)
 
 
 def test_cyclotomic_against_root_product_oracle():
@@ -140,6 +145,8 @@ def test_expand_indices_frozen_values():
     assert expand_indices(3, 6) == frozenset({9, 18})
     assert expand_indices(6, 6) == frozenset({36})
     assert expand_indices(4, 12) == frozenset({16, 48})
+    with pytest.raises(ValueError, match="need index >= 1 and base >= 2"):
+        expand_indices(0, 2)
     assert expand_indices(2, 12) == frozenset({8, 24})
     assert expand_indices(4, 4) == frozenset({16})
 
@@ -210,6 +217,8 @@ def test_cyc_divides():
     assert not cyc_divides(3, p)
     # degree short-circuit
     assert not cyc_divides(64, p)
+    with pytest.raises(ValueError, match="divisibility test against the zero polynomial"):
+        cyc_divides(3, IntPoly.zero())
 
 
 def test_cyc_divides_matches_plain_division():

@@ -12,6 +12,7 @@ import pytest
 
 from cyclotile import phitree, spectra
 from cyclotile.cyclo import cyc_divides, cyclotomic, cyclotomic_product, euler_phi
+from cyclotile.digitset import DigitSet
 from cyclotile.errors import (
     CertificateError,
     InvalidBlocking,
@@ -142,6 +143,8 @@ def test_decide_rejects_bad_digit_sets():
         decide_tile_digit_set(4, [0, 1, 1, 2])
     with pytest.raises(InvalidDigitSet):
         decide_tile_digit_set(4, [0, -1, 2, 3])
+    with pytest.raises(InvalidDigitSet, match="digit set is empty"):
+        DigitSet(4, ())
 
 
 def test_first_hit_blocking_is_a_valid_blocking():
@@ -194,6 +197,8 @@ def test_blocking_checked_reports_reasons():
     assert "escapes" in str(info.value)
     with pytest.raises(InvalidBlocking):
         Blocking.checked(4, [3, 4])
+    with pytest.raises(InvalidBlocking, match="base must be at least 2"):
+        Blocking.checked(1, [2])
 
 
 def test_refine_blocking():

@@ -52,6 +52,12 @@ def test_decomposition_validation_errors():
         Decomposition(12, ((0, 1), (0, 2, 2)), (1,))  # repeated digit
     with pytest.raises(InvalidDecomposition):
         Decomposition(12, ((0, 1), (0, "2")), (1,))  # digits that do not compare
+    with pytest.raises(InvalidDecomposition, match=r"part \(-1, 0\) has a bad digit"):
+        Decomposition(4, ((0, -1),), ())
+    with pytest.raises(InvalidDecomposition, match=r"part \(0, True\) has a bad digit"):
+        Decomposition(4, ((0, True),), ())
+    with pytest.raises(InvalidDecomposition, match="base must be at least 2"):
+        Decomposition(1, ((0, 1),), ())
 
 
 def test_validate_decomposition():
@@ -246,6 +252,8 @@ def test_recipe_errors(tmp_path):
         assert "invalid literal" not in str(refused.value)
     with pytest.raises(RecipeError):
         load_recipe('{"schema": "other/1"}')
+    with pytest.raises(RecipeError, match="recipe must be an object"):
+        build_recipe([])
     with pytest.raises(RecipeError):
         build_recipe({"kind": "mystery", "base": 4})
     with pytest.raises(RecipeError):
@@ -283,6 +291,16 @@ def test_recipe_nesting_past_the_stack_is_refused():
 
 
 def test_recipe_inner_base_must_match():
+    with pytest.raises(RecipeError, match="inner recipe uses a different base"):
+        build_recipe(
+            {
+                "kind": "higher-order-product-form",
+                "base": 4,
+                "parts": [[0, 1], [0, 2]],
+                "exponents": [1],
+                "inner": {"kind": "product-form", "base": 2, "parts": [[0, 1]], "exponents": []},
+            }
+        )
     with pytest.raises(RecipeError):
         build_recipe(
             {

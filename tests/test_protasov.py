@@ -74,6 +74,8 @@ def test_tau_index_frozen():
     assert tau_index(8, 2, 6) == 9  # label "12"
     assert tau_index(1, 2, 4) == 16
     assert tau_index(6, 1, 12) == 2
+    with pytest.raises(ValueError, match="need a positive residue at level >= 1"):
+        tau_index(0, 1, 4)
 
 
 def test_vertex_labels():
@@ -101,6 +103,10 @@ def test_labels_reject_bad_vertices():
         vertex_label(Vertex(1, 6), 6)  # would be the zero residue digit
     with pytest.raises(NotInTree):
         vertex_label(Vertex(2, 40), 6)  # out of range
+    with pytest.raises(NotInTree, match="5 is out of range for level 1"):
+        vertex_label(Vertex(1, 5), 4)
+    with pytest.raises(NotInTree, match="4 ends in a zero digit for base 4"):
+        vertex_label(Vertex(2, 4), 4)
 
 
 def test_level_vertices():

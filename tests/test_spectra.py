@@ -521,30 +521,41 @@ def test_stage_counters_are_pinned():
 
 
 def test_candidate_table_changes_no_answer_or_counter():
-    """A context that has built `candidates` rejects an index in
-    2..threshold that is off the table without running the stages.  It
-    must answer `divides` as a fresh context does and count every index
-    under the same stage.  Index 1 and the indices past the threshold keep
-    the staged path: a polynomial with P(1) = 0 checks the first, and 50
+    """A context answers an index in 2..threshold from its candidate
+    table.  It must answer `divides` as the stages called directly do and
+    move the counter of the stage that rejects the index, or `exact_tests`
+    when none does.  Index 1 and the indices past the threshold take the
+    stages in turn: a polynomial with P(1) = 0 checks the first, and 50
     indices past each threshold check the second.  A lacunary polynomial's
     threshold runs into the millions, so its indices are 1..2000 and the
     50 on either side of the threshold; the others run from 1 to 50 past
     the threshold."""
     polys = [cyclotomic(1) * mask_polynomial([0, 1, 8, 9])]
     polys += _planted_polynomials(97, 60)
+    stage_names = ("partner", "split", "modular", "exact")
     past_threshold_exact = 0
     for p in polys:
-        fresh, built = MaskContext(p), MaskContext(p)
-        built.candidates
-        top = built.threshold
+        ctx = MaskContext(p)
+        top = ctx.threshold
         if top <= 5000:
             indices = range(1, top + 51)
         else:
             indices = [*range(1, 2001), *range(top - 49, top + 51)]
         for s in indices:
-            before = fresh.exact_tests
-            assert built.divides(s) == fresh.divides(s), (p, s)
-            past_threshold_exact += s > top and fresh.exact_tests > before
-        assert (built.tests, _stage_counters(built)) == (fresh.tests, _stage_counters(fresh)), p
+            if not ctx.may_vanish(s):
+                stage = "partner"
+            elif not ctx.may_vanish_split(s):
+                stage = "split"
+            elif euler_phi(s) <= p.degree and not ctx.may_vanish_mod_prime(s):
+                stage = "modular"
+            else:
+                stage = "exact"
+            before = _stage_counters(ctx)
+            got = ctx.divides(s)
+            moved = [n for n, a, b in zip(stage_names, before, _stage_counters(ctx)) if a != b]
+            assert moved == [stage], (p, s)
+            assert got == (stage == "exact" and cyc_divides(s, p)), (p, s)
+            past_threshold_exact += s > top and stage == "exact"
+        assert ctx.tests == sum(_stage_counters(ctx)) == len(indices), p
     assert MaskContext(polys[0]).divides(1)
     assert past_threshold_exact > 100
