@@ -184,12 +184,16 @@ def _run_geometry(args) -> int:
 
 def _run_oracle(args) -> int:
     from .oracles import absolute_continuity_check, direct_sum_diagnostic, integer_tile_check
+    from .oracles import MAX_RADIX_VALUES
 
     digits = _parse_digits(args.digits)
     tiling = integer_tile_check(digits, period_cap=args.period_cap)
     collision = continuity = None
+    depth = args.depth
+    if depth is None:  # 4, or the deepest depth >= 1 within the radix budget
+        depth = next((d for d in (4, 3, 2) if len(digits) ** d <= MAX_RADIX_VALUES), 1)
     if args.base is not None:
-        collision = direct_sum_diagnostic(args.base, digits, args.depth)
+        collision = direct_sum_diagnostic(args.base, digits, depth)
         continuity = absolute_continuity_check(args.base, digits)
     if args.format == "json":
         payload: dict = {
@@ -220,7 +224,7 @@ def _run_oracle(args) -> int:
             print("integer tile: no period found")
         if args.base is not None:
             if collision is None:
-                print(f"direct sums: no collision up to depth {args.depth} (heuristic)")
+                print(f"direct sums: no collision up to depth {depth} (heuristic)")
             else:
                 print(f"direct sums: first collision at level {collision} (heuristic)")
             if continuity.accepted:
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", required=True)
     p.add_argument("--base", type=int, default=None)
     p.add_argument("--period-cap", type=int, default=None)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=None, help="default 4, or less to fit the budget")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_run_oracle)
 

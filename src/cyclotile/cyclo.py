@@ -1,15 +1,15 @@
 """Cyclotomic polynomials, their indices, and divisibility tests.
 
 Everything here is exact integer arithmetic.  The central identity is that
-x**n - 1 is the product of the cyclotomics of all divisors of n, which both
-generates the polynomials and powers the divisibility shortcuts below.
+x**n - 1 is the product of the cyclotomics of all divisors of n, which
+powers the divisibility shortcuts below.
 
-Generation strategy: for squarefree n the polynomial is computed as a
-quotient of products of the sparse binomials x**d - 1 (Moebius inversion of
-the divisor identity, every intermediate division exact); for any other n it
-is the squarefree-radical cyclotomic with x replaced by a power.  Both routes
-follow from the divisor identity and agree with the direct definition; the
-test suite re-derives them from scratch.
+Generation strategy: the substitution rule of `expand_indices`, by which
+the n-th cyclotomic at x**p is the (n*p)-th when the prime p divides n and
+the n-th times the (n*p)-th when it does not.  A squarefree n = m*p, p its
+largest prime, is the m-th at x**p over the m-th (exact); any other n is
+its radical's cyclotomic at x**(n / radical(n)).  The recursion is as deep
+as n has distinct primes; the tests re-derive the results independently.
 
 `modular_root_of_unity` serves a reject-only divisibility test: an element
 of multiplicative order exactly s modulo a prime l = 1 (mod s) is a root of
@@ -29,11 +29,11 @@ from .intpoly import IntPoly, divide_exact
 # Bounded caches of index arithmetic that depends on no mask.  A 55 s run
 # of the benchmark's corpus workload (seed 1) creates 519 factorize keys,
 # 500 divisors keys (the gaps up to 500), 125 euler_phi keys, 5 primes_up_to
-# keys (the term counts), 8 cyclotomic keys, 106 root-of-unity keys and
+# keys (the term counts), 9 cyclotomic keys, 106 root-of-unity keys and
 # 206 phi_monotone_bound keys; `phitree` adds 55 children and 5 root keys.
 # Three round trips of every criterion-08 set and recipe create 557, 512,
-# 155, 5, 20, 143 and 212 keys, and 70 and 5 in `phitree`.  The test
-# suite's brute-force factoring of cyclotomic substitutions creates 155
+# 155, 5, 21, 143 and 212 keys, and 70 and 5 in `phitree`.  The test
+# suite's brute-force factoring of cyclotomic substitutions creates 143
 # cyclotomic keys.  A mask with many terms and a large degree cycles
 # through more keys and recomputes the oldest.
 FACTORIZE_CACHE_SIZE = 8192
@@ -116,7 +116,8 @@ def is_prime_power(n: int):
 
 @lru_cache(maxsize=CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, exact and monic of degree euler_phi(n)."""
+    """The n-th cyclotomic polynomial, exact and monic of degree euler_phi(n),
+    by the substitution rule (see the module docstring)."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
     if n == 1:
@@ -124,24 +125,11 @@ def cyclotomic(n: int) -> IntPoly:
     rad = radical(n)
     if rad != n:
         return cyclotomic(rad).compose_power(n // rad)
-    return _squarefree_cyclotomic(n)
-
-
-def _squarefree_cyclotomic(n: int) -> IntPoly:
-    # Moebius quotient: product over divisors d of (x**d - 1)**mu(n/d),
-    # where mu(n/d) = (-1)**omega(n/d) because n is squarefree.  Dividing
-    # last keeps every intermediate an integer polynomial, and every divisor
-    # is a two-term binomial, so the whole thing is cheap.
-    numer = [d for d in divisors(n) if len(factorize(n // d)) % 2 == 0]
-    denom = [d for d in divisors(n) if len(factorize(n // d)) % 2 == 1]
-    poly = IntPoly.one()
-    for d in numer:
-        poly = poly * (IntPoly.x_power(d) - IntPoly.one())
-    for d in denom:
-        quot = divide_exact(poly, IntPoly.x_power(d) - IntPoly.one())
-        assert quot is not None, "Moebius quotient must stay exact"
-        poly = quot
-    return poly
+    p = factorize(n)[-1][0]
+    below = cyclotomic(n // p)
+    quot = divide_exact(below.compose_power(p), below)
+    assert quot is not None, "the substitution rule must divide exactly"
+    return quot
 
 
 # Miller-Rabin to the first k prime bases is exact below the least strong

@@ -320,3 +320,16 @@ def test_oracle_json(capsys):
     assert payload["collision_level"] is None
     assert payload["continuity"] == {"accepted": True, "blocking": [2, 16]}
 
+
+def test_oracle_default_depth_fits_the_radix_budget(capsys):
+    # 18**4 radix values pass the budget, so the default depth drops to 3;
+    # an explicit depth over the budget is still refused.
+    digits = ",".join(map(str, range(18)))
+    code, out, _ = run(capsys, "oracle", "--base", "18", "--digits", digits)
+    assert code == 0
+    assert "direct sums: no collision up to depth 3 (heuristic)" in out
+    code, out, _ = run(capsys, "oracle", "--base", "18", "--digits", digits, "--format", "json")
+    assert code == 0 and json.loads(out)["collision_level"] is None
+    code, out, err = run(capsys, "oracle", "--base", "18", "--digits", digits, "--depth", "4")
+    assert code == 2 and out == ""
+    assert "18 digits to depth 4 exceed the budget of 100000 radix values" in err

@@ -24,6 +24,7 @@ from cyclotile.errors import (
 from cyclotile.intpoly import IntPoly, mask_polynomial
 from cyclotile.phitree import (
     Blocking,
+    Certificate,
     blocking_search,
     certificate_from_json,
     certificate_to_json,
@@ -648,6 +649,9 @@ def test_search_dot_rendering():
     cert = decide_tile_digit_set(4, [0, 1, 4, 5])
     dot = search_dot(cert)
     assert "octagon" in dot and "dashed" in dot
+    bare = Certificate(4, cert.digits, cert.verdict, cert.blocking, cert.order, cert.report)
+    with pytest.raises(ValueError, match="certificate carries no search trace"):
+        search_dot(bare)
 
 
 # SHA-256 of the DOT renderings of every criterion-08 set and the three

@@ -121,6 +121,9 @@ def test_modulo_product_form_frozen():
     cert = decide_tile_digit_set(12, built.digits)
     assert cert.is_tile
     assert check_p1(12, built.digits).holds
+    # A recipe without representatives keeps every stage's digits.
+    recipe = {"kind": "modulo-product-form", "base": 4, "parts": [[0, 1], [0, 2]], "exponents": [1]}
+    assert build_recipe(recipe).digits == (0, 1, 8, 9)
 
 
 def test_modulo_representative_errors():
@@ -180,6 +183,11 @@ def test_higher_order_rejects_bad_regrouping():
     for exps in ((1, -2), (True, 2), (1.0, 2)):
         with pytest.raises(InvalidRegrouping, match="non-negative integers"):
             build_higher_order(inner, ((0, 1), (0, 8), (0, 16, 32)), exps)
+    # Groups whose own sums collide before they reach the inner digits.
+    inner = build_product_form(Decomposition(4, ((0, 1), (0, 2)), (0,)))
+    assert inner.digits == (0, 1, 2, 3)
+    with pytest.raises(InvalidRegrouping, match="regrouping: sums collide"):
+        build_higher_order(inner, ((0, 1), (0, 1, 2, 3)), (1,))
 
 
 def test_lifted_masks_factor_exactly():
