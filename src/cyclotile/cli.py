@@ -144,13 +144,13 @@ def _run_construct(args) -> int:
 def _run_kernels(args) -> int:
     from .phitree import enumerate_blockings, enumerate_dividing_blockings
 
+    if (args.digits is None) == (args.max_degree is None):
+        raise CyclotileError("kernels needs exactly one of --max-degree and --digits")
     if args.digits is not None:
         digits = _parse_digits(args.digits)
         found = enumerate_dividing_blockings(args.base, digits, limit=args.limit)
-    elif args.max_degree is not None:
-        found = enumerate_blockings(args.base, args.max_degree)
     else:
-        raise CyclotileError("kernels needs --max-degree or --digits")
+        found = enumerate_blockings(args.base, args.max_degree)
     if args.format == "json":
         print(
             json.dumps(

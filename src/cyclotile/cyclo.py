@@ -254,14 +254,16 @@ def cyc_divides(s: int, p: IntPoly) -> bool:
     constrains precisely p's own s-th factor.  Cost scales with the term
     count of p times 2**(number of primes of s), not with s or the degree.
 
-    This is the exact oracle.  `spectra.MaskContext.divides` calls it only
-    for indices that pass three cheaper reject-only stages: a partner test
-    that proves non-divisibility from p's exponents modulo a reduced index
-    alone (Mann, Mathematika 12, 1965; Conway and Jones, Acta Arith. 30,
-    1976), a prime-split test on p's exponents modulo powers of the small
-    primes (de Bruijn, Indag. Math. 15, 1953), and an evaluation of p at a
-    root of unity modulo a prime (see `modular_root_of_unity`).  The arguments are in the `spectra` module
-    docstring.
+    This is the exact oracle, and the only test the verdict asks: both
+    routes to it ask through `spectra.ExactTest`, a memo of this function.
+    The spectra report asks it, through the same memo, only for indices
+    that pass three cheaper reject-only stages, which decide no verdict: a
+    partner test that proves non-divisibility from p's exponents modulo a
+    reduced index alone (Mann, Mathematika 12, 1965; Conway and Jones, Acta
+    Arith. 30, 1976), a prime-split test on p's exponents modulo powers of
+    the small primes (de Bruijn, Indag. Math. 15, 1953), and an evaluation
+    of p at a root of unity modulo a prime (see `modular_root_of_unity`).
+    The arguments are in the `spectra` module docstring.
     """
     if p.is_zero:
         raise ValueError("divisibility test against the zero polynomial")

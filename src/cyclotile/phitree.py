@@ -40,7 +40,7 @@ from .digitset import DigitSet
 from .errors import CertificateError, CyclotileError, InvalidBlocking, NotInTree
 from .intpoly import IntPoly
 from .record import FrozenRecord, Record, setfield
-from .spectra import MaskContext, SpectrumReport, context_report
+from .spectra import ExactTest, MaskContext, SpectrumReport, context_report
 
 CERTIFICATE_SCHEMA = "cyclotile.certificate/1"
 
@@ -67,8 +67,8 @@ def children(e: int, b: int) -> tuple[int, ...]:
 
 
 class SearchStats(Record):
-    """Counters of one search; `divisions` counts the distinct divisibility
-    tests the search added to the mask context."""
+    """Counters of one search; `divisions` counts the distinct indices the
+    search added to the exact test's memo."""
 
     __slots__ = ("nodes", "divisions", "max_depth", "pruned")
 
@@ -88,11 +88,11 @@ def blocking_search(p: IntPoly, b: int):
     node to "hit", "expanded" or "pruned", in visit order.  Works for any
     nonzero p, not only base-cardinality masks (the continuity oracle's use).
     """
-    return _search(MaskContext(p), b)
+    return _search(ExactTest(p), b)
 
 
-def _search(ctx: MaskContext, b: int):
-    start = ctx.tests
+def _search(exact: ExactTest, b: int):
+    start = exact.tests
     status: dict[int, str] = {}
     blocking: frozenset | None = None
     max_depth = 0
@@ -101,9 +101,9 @@ def _search(ctx: MaskContext, b: int):
     while stack:
         e, depth = stack.pop()
         max_depth = max(max_depth, depth)
-        if ctx.divides(e):
+        if exact.divides(e):
             status[e] = "hit"
-        elif euler_phi(e) > ctx.degree:
+        elif euler_phi(e) > exact.degree:
             status[e] = "pruned"
             break
         else:
@@ -112,7 +112,7 @@ def _search(ctx: MaskContext, b: int):
     else:  # no branch escaped
         blocking = frozenset(e for e, outcome in status.items() if outcome == "hit")
     # No node is popped twice (one parent each), and a walk prunes once, then stops.
-    stats = SearchStats(len(status), ctx.tests - start, max_depth, int(blocking is None))
+    stats = SearchStats(len(status), exact.tests - start, max_depth, int(blocking is None))
     return blocking, stats, status
 
 
@@ -269,13 +269,13 @@ def enumerate_dividing_blockings(base: int, digits, limit: int = 8) -> list[Bloc
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
-    first, _, _ = _search(ctx, base)
+    exact = ExactTest(DigitSet.for_tiling(base, digits).mask())
+    first, _, _ = _search(exact, base)
     if first is None:
         return []
     return _refinements(
         Blocking(base, tuple(sorted(first))),
-        lambda d, degree: all(ctx.divides(c) for c in children(d, base)),
+        lambda d, degree: all(exact.divides(c) for c in children(d, base)),
         limit,
     )
 
@@ -294,15 +294,15 @@ class P1Report(FrozenRecord):
         setfield(self, "failing", failing)
 
 
-def _full_divisibility_exponent(t: int, base: int, ctx: MaskContext) -> int | None:
+def _full_divisibility_exponent(t: int, base: int, exact: ExactTest) -> int | None:
     """Smallest j such that every factor index of the t-th cyclotomic in
     x**(base**j) divides, or None.  Degree of the substituted polynomial is
     euler_phi(t) * base**j, which bounds the search."""
     phi_t = euler_phi(t)
     j = 0
     current: frozenset[int] = frozenset((t,))
-    while phi_t * base**j <= ctx.degree:
-        if all(ctx.divides(e) for e in current):
+    while phi_t * base**j <= exact.degree:
+        if all(exact.divides(e) for e in current):
             return j
         current = expand_times(current, base, 1)
         j += 1
@@ -312,11 +312,11 @@ def _full_divisibility_exponent(t: int, base: int, ctx: MaskContext) -> int | No
 def check_p1(base: int, digits) -> P1Report:
     """First-order condition: every root divisor has a substitution power
     whose full cyclotomic expansion divides the mask."""
-    ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
+    exact = ExactTest(DigitSet.for_tiling(base, digits).mask())
     witnesses: dict[int, int] = {}
     failing = None
     for d in root_indices(base):
-        j = _full_divisibility_exponent(d, base, ctx)
+        j = _full_divisibility_exponent(d, base, exact)
         if j is None:
             failing = d
             break
@@ -336,25 +336,25 @@ def pk_order(base: int, digits) -> int | None:
     distinct factors at one power, have disjoint subtrees, and no index is
     reached twice.
     """
-    ctx = MaskContext(DigitSet.for_tiling(base, digits).mask())
-    return _order(ctx, base, root_indices(base))
+    exact = ExactTest(DigitSet.for_tiling(base, digits).mask())
+    return _order(exact, base, root_indices(base))
 
 
-def _order(ctx: MaskContext, base: int, indices) -> int | None:
+def _order(exact: ExactTest, base: int, indices) -> int | None:
     """The worst order among the indices (see `pk_order`), or None as soon
     as one of them has none."""
     worst = 0
     for t in indices:
         order = 1
-        if _full_divisibility_exponent(t, base, ctx) is None:
+        if _full_divisibility_exponent(t, base, exact) is None:
             current: frozenset[int] = frozenset((t,))
             while True:
                 current = expand_times(current, base, 1)
-                if any(ctx.divides(e) for e in current):
+                if any(exact.divides(e) for e in current):
                     break
-                if min(euler_phi(e) for e in current) > ctx.degree:
+                if min(euler_phi(e) for e in current) > exact.degree:
                     return None
-            below = _order(ctx, base, sorted(current))
+            below = _order(exact, base, sorted(current))
             if below is None:
                 return None
             order += below
@@ -423,13 +423,15 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
     normalization.
     """
     ds = DigitSet.for_tiling(base, digits)
-    return _certify(MaskContext(ds.mask()), base, ds.digits, spectrum_cap)
+    return _certify(ExactTest(ds.mask()), base, ds.digits, spectrum_cap)
 
 
-def _certify(ctx: MaskContext, base: int, digits: tuple[int, ...], cap: int | None) -> Certificate:
-    blocking, stats, trace = _search(ctx, base)
-    report = context_report(ctx, base, cap)
-    order = _order(ctx, base, root_indices(base)) if blocking is not None else None
+def _certify(exact: ExactTest, base: int, digits: tuple[int, ...], cap: int | None) -> Certificate:
+    """Decide on the exact test alone, then build the spectra report on a
+    context that asks the same test last."""
+    blocking, stats, trace = _search(exact, base)
+    order = _order(exact, base, root_indices(base)) if blocking is not None else None
+    report = context_report(MaskContext(exact), base, cap)
     return Certificate(
         base=base,
         digits=digits,
@@ -518,10 +520,10 @@ def certificate_from_json(text: str) -> Certificate:
         raise CertificateError(f"general_spectrum needs an integer cap >= 1, got {spectrum!r}")
     try:
         ds = DigitSet.for_tiling(base, digits)
-        ctx = MaskContext(ds.mask())
+        exact = ExactTest(ds.mask())
     except CyclotileError as exc:
         raise CertificateError(f"invalid digit set: {exc}") from exc
-    cert = _certify(ctx, base, ds.digits, spectrum["cap"])
+    cert = _certify(exact, base, ds.digits, spectrum["cap"])
     blocking = payload.get("blocking")
     if (
         payload.get("verdict") == "tile"
@@ -532,7 +534,7 @@ def certificate_from_json(text: str) -> Certificate:
             blk = Blocking.checked(base, blocking)
         except InvalidBlocking as exc:
             raise CertificateError(f"invalid blocking: {exc}") from exc
-        if not blk.divides(ctx.poly):
+        if not blk.divides(exact.poly):
             raise CertificateError("kernel does not divide the digit mask")
         if cert.is_tile:
             cert.blocking = blk.indices

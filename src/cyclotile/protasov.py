@@ -6,9 +6,10 @@ vertex carries a cyclotomic index b**k / gcd(m, b**k), and a digit set tiles
 exactly when the vertices whose index divides the mask block every infinite
 path.  Index totients grow at least geometrically with the level, so the
 search ends without a depth bound.  Nothing here consults the divisor tree
-in phitree or the per-mask context in spectra: each call memoizes the exact
-`cyclo.cyc_divides` on its own mask, so the two routes share only that test
-and index arithmetic.  Their agreement is checked in the tests, not assumed.
+in phitree or the per-mask context in spectra: each call makes its own
+`spectra.ExactTest`, a memo of the exact `cyclo.cyc_divides` on its mask,
+so the two routes share only that helper, never an instance of it, and
+index arithmetic.  Their agreement is checked in the tests, not assumed.
 
 The search walks the tree in pre-order from an explicit stack, and the
 dividing vertices it reaches are the blocking, closed under fibers (the
@@ -22,13 +23,12 @@ hit through ancestors that neither divide nor escape, and recorded it too.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
 
-from .cyclo import cyc_divides, euler_phi
+from .cyclo import euler_phi
 from .digitset import DigitSet
 from .errors import CyclotileError, NotInTree
 from .record import FrozenRecord, Record, setfield
-from .spectra import check_degree_budget
+from .spectra import ExactTest
 
 
 class Vertex(FrozenRecord):
@@ -104,13 +104,11 @@ class ProtasovResult(Record):
         return tuple(vertex_label(v, self.base) for v in self.blocking)
 
 
-def _exact_test(base: int, digits):
-    """The mask's degree and a memo of `cyc_divides` on it, within the budget."""
+def _exact_test(base: int, digits) -> ExactTest:
+    """An exact test of this call's own on the mask of base-many digits."""
     ds = DigitSet.of(base, digits)
     ds.require_cardinality()
-    mask = ds.mask()
-    check_degree_budget(mask)
-    return mask.degree, cache(partial(cyc_divides, p=mask))
+    return ExactTest(ds.mask())
 
 
 # Most vertices `protasov_decide` pops.  The degree budget does not bound
@@ -134,7 +132,7 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
     walk returns at the totient check and needs no depth bound; it raises
     CyclotileError once it pops more than MAX_RESIDUE_VERTICES vertices.
     """
-    deg, divides = _exact_test(base, digits)
+    exact = _exact_test(base, digits)
     stats = ProtasovStats()
     hits: list[tuple[int, int]] = []
     # Children go on in reverse, so the pops visit them in digit order.
@@ -148,15 +146,15 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
             )
         stats.max_level = max(stats.max_level, level)
         t = tau_index(value, level, base)
-        if divides(t):
+        if exact.divides(t):
             hits.append((level, value))
-        elif euler_phi(t) > deg:
-            stats.divisions = divides.cache_info().currsize
+        elif euler_phi(t) > exact.degree:
+            stats.divisions = exact.tests
             return ProtasovResult("absent", base, None, stats)
         else:
             step = base**level
             stack.extend((l * step + value, level + 1) for l in range(base - 1, -1, -1))
-    stats.divisions = divides.cache_info().currsize
+    stats.divisions = exact.tests
     blocking = tuple(Vertex(level, value) for level, value in sorted(hits))
     return ProtasovResult("blocking", base, blocking, stats)
 
@@ -182,12 +180,12 @@ def kenyon_check(base: int, digits, m_limit: int = 200) -> KenyonReport:
     divisor chain, so the first level whose totient outruns the mask degree
     without a division settles failure for that m.
     """
-    deg, divides = _exact_test(base, digits)
+    exact = _exact_test(base, digits)
     witnesses: dict[int, int] = {}
     for m in range(1, m_limit + 1):
         k = 1
-        while not divides(t := tau_index(m, k, base)):
-            if euler_phi(t) > deg:
+        while not exact.divides(t := tau_index(m, k, base)):
+            if euler_phi(t) > exact.degree:
                 return KenyonReport(False, witnesses, m, m_limit)
             k += 1
         witnesses[m] = k

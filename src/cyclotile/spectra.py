@@ -8,6 +8,11 @@ threshold, is the largest s with euler_phi(s) <= degree(P); the s-th
 cyclotomic has degree euler_phi(s), so nothing above T divides.  Every s
 that divides passes both stages, so every s that divides is a candidate.
 
+The verdict needs none of this.  The divisor tree and the residue tree ask
+`ExactTest`, a validated memo of the exact `cyc_divides`, and nothing
+else: the reject-only stages and the candidate table below decide no
+verdict and serve the spectra only.
+
 The candidates have a closed form.  Let n be the term count of P, M the
 product of the primes <= n, and u = s / gcd(s, M).  The partner stage
 passes s exactly when every exponent has a partner modulo u.  So u
@@ -33,8 +38,8 @@ says which of the two to count.  A candidate goes straight to the modular
 stage.  Index 1 and the indices above T are not in the table's range and
 take the stages in turn, so the table changes no answer and no counter.
 
-Every index s meets three exact, reject-only stages before the exact
-`cyc_divides`; an index any stage rejects cannot divide, and an index that
+Every index s meets three exact, reject-only stages before the context's
+`ExactTest`; an index any stage rejects cannot divide, and an index that
 passes all three still goes to the exact test.
 
 The partner stage, `MaskContext.may_vanish`, is built on Mann's theorem
@@ -134,25 +139,53 @@ from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
 from .record import FrozenRecord, setfield
 
-# Largest mask degree that `check_degree_budget` lets a MaskContext or the
-# residue-tree route take.  The completeness threshold no longer
-# scales with the degree (`phi_monotone_bound` is a branch and bound, about
-# 1 ms at 10**6), but two costs still do.  `cyclo.factorize` factors every
-# gap between exponents by trial division, which grows with the square root
-# of a gap's largest prime factor: a three-digit mask whose gap is a prime
-# near 10**14 takes 0.8 s, and one near 2**62 would take minutes.  And a
-# mask with many terms has many candidates for the modular stage: base 60
-# with the digits 0..58 and 10**7 takes 5.7 s.  The budget stays until it
-# is replaced by one on those costs.
+# Largest mask degree that an `ExactTest` takes.  The completeness
+# threshold no longer scales with the degree (`phi_monotone_bound` is a
+# branch and bound, about 1 ms at 10**6), but two costs still do.
+# `cyclo.factorize` factors every gap between exponents by trial division,
+# which grows with the square root of a gap's largest prime factor: a
+# three-digit mask whose gap is a prime near 10**14 takes 0.8 s, and one
+# near 2**62 would take minutes.  And a mask with many terms has many
+# candidates for the modular stage: base 60 with the digits 0..58 and 10**7
+# takes 5.7 s.  The budget stays until it is replaced by one on those costs.
 MAX_MASK_DEGREE = 10**6
 
 
-def check_degree_budget(p: IntPoly) -> None:
-    """Refuse a polynomial above `MAX_MASK_DEGREE` with CyclotileError."""
-    if p.degree > MAX_MASK_DEGREE:
-        raise CyclotileError(
-            f"polynomial degree {p.degree} exceeds the budget of {MAX_MASK_DEGREE}"
-        )
+class ExactTest:
+    """The validated exact test on one polynomial: a memo of `cyc_divides`.
+
+    It refuses the zero polynomial with ValueError and a degree above
+    `MAX_MASK_DEGREE` with CyclotileError.  Each route to the verdict asks
+    an instance of its own: the divisor tree's search and order, and the
+    residue tree's walk and level check.  A `MaskContext` made on an
+    instance asks it last, so one decision runs `cyc_divides` at most once
+    per index.  `tests` counts the distinct indices tested.
+    """
+
+    __slots__ = ("poly", "degree", "_memo")
+
+    def __init__(self, p: IntPoly):
+        if p.is_zero:
+            raise ValueError("cannot analyse the zero polynomial")
+        if p.degree > MAX_MASK_DEGREE:
+            raise CyclotileError(
+                f"polynomial degree {p.degree} exceeds the budget of {MAX_MASK_DEGREE}"
+            )
+        self.poly = p
+        self.degree: int = p.degree
+        self._memo: dict[int, bool] = {}
+
+    @property
+    def tests(self) -> int:
+        """The distinct indices tested."""
+        return len(self._memo)
+
+    def divides(self, s: int) -> bool:
+        """Does the s-th cyclotomic divide the polynomial?"""
+        hit = self._memo.get(s)
+        if hit is None:
+            hit = self._memo[s] = cyc_divides(s, self.poly)
+        return hit
 
 
 def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, ...]:
@@ -182,18 +215,21 @@ def _candidate_indices(ctx: MaskContext, primes, threshold: int) -> tuple[int, .
 
 
 class MaskContext:
-    """One nonzero polynomial and everything a decision asks about it.
+    """One polynomial's spectra: the stages and candidate table behind them.
 
-    Every layer of the divisor-tree decision asks the same question many
-    times: does the s-th cyclotomic divide the mask?  They all ask through
-    one context, so each index is tested once; `tests` counts the distinct
-    indices tested.  The residue-tree route asks `cyc_divides` itself.
+    The spectra report asks the same question many times: does the s-th
+    cyclotomic divide the polynomial?  It asks through one context, so each
+    index is tested once; `tests` counts the distinct indices tested.  The
+    context is made on a polynomial or on an `ExactTest`, which validates
+    the polynomial and answers the last stage; a decision hands the context
+    the exact test its search used.  The stages and the table decide no
+    verdict: the divisor tree and the residue tree ask an `ExactTest`.
     An index meets four stages (module docstring), and each distinct index
     is counted by the one that decides it: `partner_rejections` for the
     partner test `may_vanish`, `split_rejections` for the prime-split test
     `may_vanish_split`, `modular_rejections` for the evaluation modulo a
-    prime, and `exact_tests` for the exact `cyc_divides`; the four add up
-    to `tests`.  Every context builds its threshold, candidate table and
+    prime, and `exact_tests` for the exact test; the four add up to
+    `tests`.  Every context builds its threshold, candidate table and
     Horner scheme when it is made; an index in 2..threshold is answered by
     the table.  One off the table is counted under the partner stage when
     `may_vanish` fails and under the prime-split stage otherwise: the same
@@ -201,11 +237,9 @@ class MaskContext:
     spectrum is built on first use, because it asks `divides`.
     """
 
-    def __init__(self, p: IntPoly):
-        if p.is_zero:
-            raise ValueError("cannot analyse the zero polynomial")
-        check_degree_budget(p)
-        self.poly = p
+    def __init__(self, source: IntPoly | ExactTest):
+        self.exact = source if isinstance(source, ExactTest) else ExactTest(source)
+        p = self.poly = self.exact.poly
         self.degree: int = p.degree
         self.partner_rejections = 0
         self.split_rejections = 0
@@ -327,7 +361,7 @@ class MaskContext:
                 hit = False
             else:
                 self.exact_tests += 1
-                hit = cyc_divides(s, self.poly)
+                hit = self.exact.divides(s)
             self._divides[s] = hit
         return hit
 

@@ -233,6 +233,15 @@ def test_kernels_needs_a_bound(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_kernels_refuses_both_bounds(capsys):
+    # --max-degree and --digits are alternatives; given both, neither wins.
+    code, out, err = run(
+        capsys, "kernels", "--base", "4", "--max-degree", "5", "--digits", "0,1,8,9"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exactly one of --max-degree and --digits" in err
+
+
 def test_kernels_refuses_limit_below_one(capsys):
     code, out, err = run(
         capsys, "kernels", "--base", "4", "--digits", "0,1,8,9", "--limit", "0"

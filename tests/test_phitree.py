@@ -15,6 +15,7 @@ from cyclotile.cyclo import cyc_divides, cyclotomic, cyclotomic_product, euler_p
 from cyclotile.digitset import DigitSet
 from cyclotile.errors import (
     CertificateError,
+    CyclotileError,
     InvalidBlocking,
     InvalidDigitSet,
     NormalizationRequired,
@@ -577,6 +578,66 @@ def test_certificate_keeps_its_spectrum_cap():
     assert again["general_spectrum"]["indices"] == [2]
     with pytest.raises(ValueError, match="at least 1"):
         decide_tile_digit_set(4, (0, 1, 8, 9), spectrum_cap=-5)
+
+
+def _recipe_sets():
+    return [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
+
+
+def test_divisor_route_builds_no_context_and_keeps_the_budget(monkeypatch):
+    """The search, the order and the enumeration ask the exact test alone:
+    they give the same results with no MaskContext, and still refuse a mask
+    above the degree budget with the budget's text."""
+    over = (0, 1, 10**6 + 1)
+    budget = "polynomial degree 1000001 exceeds the budget of 1000000"
+
+    def no_context(self, p):
+        raise AssertionError("the divisor route built a MaskContext")
+
+    monkeypatch.setattr(spectra.MaskContext, "__init__", no_context)
+    got = []
+    for base, digits in _recipe_sets():
+        blocking, stats, _ = blocking_search(mask_polynomial(digits), base)
+        p1 = check_p1(base, digits)
+        found = enumerate_dividing_blockings(base, digits)
+        got.append(
+            (
+                len(blocking),
+                (stats.nodes, stats.divisions, stats.max_depth, stats.pruned),
+                pk_order(base, digits),
+                (p1.holds, p1.witnesses, p1.failing),
+                [blk.kernel_degree for blk in found],
+            )
+        )
+    assert got == [  # first-order variant, modulo, second order
+        (11, (22, 22, 2, 0), 1, (True, {2: 0, 3: 2, 4: 2, 6: 2, 12: 2}, None), [1441, 3553]),
+        (6, (7, 7, 1, 0), 1, (True, {2: 0, 3: 0, 4: 1, 6: 0, 12: 0}, None), [33]),
+        (11, (23, 23, 3, 0), 2, (False, {2: 0, 3: 2}, 4), [3553]),
+    ]
+    routes = [
+        lambda: blocking_search(mask_polynomial(over), 3),
+        lambda: check_p1(3, over),
+        lambda: pk_order(3, over),
+        lambda: enumerate_dividing_blockings(3, over),
+        lambda: decide_tile_digit_set(3, over),
+    ]
+    for route in routes:
+        with pytest.raises(CyclotileError) as caught:
+            route()
+        assert str(caught.value) == budget
+
+
+def test_modular_stage_decides_no_verdict(monkeypatch):
+    """A modular stage that rejects every index empties the spectra and
+    leaves the verdict, blocking, order and search counters as they were."""
+    sets = _recipe_sets()
+    honest = [decide_tile_digit_set(base, digits) for base, digits in sets]
+    monkeypatch.setattr(spectra.MaskContext, "may_vanish_mod_prime", lambda self, s: False)
+    for (base, digits), cert in zip(sets, honest):
+        got = decide_tile_digit_set(base, digits)
+        assert cert.report.prime_powers and not got.report.prime_powers
+        assert (got.verdict, got.blocking, got.order) == (cert.verdict, cert.blocking, cert.order)
+        assert got.stats == cert.stats
 
 
 @pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])

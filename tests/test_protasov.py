@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from cyclotile import phitree
 from cyclotile.cli import main
 from cyclotile.cyclo import cyc_divides, euler_phi, expand_indices
 from cyclotile.errors import CertificateError, CyclotileError, NotInTree, WrongCardinality
@@ -23,7 +24,7 @@ from cyclotile.protasov import (
     tau_index,
     vertex_label,
 )
-from cyclotile.spectra import MaskContext
+from cyclotile.spectra import ExactTest, MaskContext
 from test_acceptance import RECIPES, _criterion_08_suites
 
 
@@ -327,11 +328,15 @@ def test_census_routes_agree(base, top, sets, tiles, non_residue, digest):
 
 
 def test_a_lying_divides_flips_only_the_divisor_tree(monkeypatch, capsys):
-    # One wrong answer from the per-mask context: Phi_16 divides the mask of
-    # {0, 1, 8, 9} but the context says it does not.  The residue route and
-    # the carry walk do not ask the context, so the cross-check disagrees.
-    honest = MaskContext.divides
-    monkeypatch.setattr(MaskContext, "divides", lambda self, s: s != 16 and honest(self, s))
+    # One wrong answer from the divisor tree's exact test: Phi_16 divides the
+    # mask of {0, 1, 8, 9} but the test says it does not.  The residue route
+    # makes an exact test of its own and the carry walk asks none, so the
+    # cross-check disagrees.
+    class LyingTest(ExactTest):
+        def divides(self, s):
+            return s != 16 and super().divides(s)
+
+    monkeypatch.setattr(phitree, "ExactTest", LyingTest)
     assert main(["analyze", "--base", "4", "--digits", "0,1,8,9", "--cross-check"]) == 3
     assert "disagreement" in capsys.readouterr().err
     assert protasov_decide(4, (0, 1, 8, 9)).is_tile

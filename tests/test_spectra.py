@@ -20,6 +20,7 @@ from cyclotile.intpoly import IntPoly, mask_polynomial
 from cyclotile.productform import load_recipe
 from cyclotile.spectra import (
     MAX_MASK_DEGREE,
+    ExactTest,
     MaskContext,
     check_t1,
     check_t2,
@@ -500,24 +501,38 @@ def _stage_counters(ctx):
     return (ctx.partner_rejections, ctx.split_rejections, ctx.modular_rejections, ctx.exact_tests)
 
 
-def test_stage_counters_are_pinned():
-    """The four stage counters and the search's divisions, summed over the
-    certification of every criterion-08 set and the three recipes.  A
-    change that moves work from one stage to another, or that makes the
-    search test more or fewer indices, moves them."""
+def test_stage_counters_are_pinned(monkeypatch):
+    """Over the certification of every criterion-08 set and the three
+    recipes: the search's divisions, the distinct indices each decision's
+    exact test answers, and the four stage counters of the context that
+    builds each report.  The search asks the exact test alone, so the
+    stages see only the report's indices.  A change that moves work from
+    one stage to another, or that makes the search or the report test more
+    or fewer indices, moves them."""
+    contexts = []
+
+    def recording_report(ctx, base, cap):
+        contexts.append(ctx)
+        return context_report(ctx, base, cap)
+
+    monkeypatch.setattr(phitree, "context_report", recording_report)
     suites = _criterion_08_suites()
     suites += [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
     assert len(suites) == 1800
-    tests, stages, divisions = 0, Counter(), 0
+    exact_tests, divisions = 0, 0
     for base, digits in suites:
         ds = DigitSet.for_tiling(base, digits)
-        ctx = MaskContext(ds.mask())
-        divisions += phitree._certify(ctx, base, ds.digits, None).stats.divisions
-        tests += ctx.tests
-        stages.update(dict(zip(("partner", "split", "modular", "exact"), _stage_counters(ctx))))
-    assert tests == sum(stages.values()) == 17_811
-    assert stages == {"partner": 4_273, "split": 55, "modular": 10_932, "exact": 2_551}
+        exact = ExactTest(ds.mask())
+        divisions += phitree._certify(exact, base, ds.digits, None).stats.divisions
+        exact_tests += exact.tests
     assert divisions == 7_539
+    assert exact_tests == 8_425
+    assert len(contexts) == len(suites)
+    stages = Counter()
+    for ctx in contexts:
+        stages.update(dict(zip(("partner", "split", "modular", "exact"), _stage_counters(ctx))))
+    assert sum(ctx.tests for ctx in contexts) == sum(stages.values()) == 13_483
+    assert stages == {"partner": 0, "split": 0, "modular": 10_932, "exact": 2_551}
 
 
 def test_candidate_table_changes_no_answer_or_counter():
