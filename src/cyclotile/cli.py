@@ -55,12 +55,11 @@ def _certificate_text(cert) -> str:
     lines.append(
         f"t1 {'pass' if rep.t1 else 'fail'}   t2 {'pass' if rep.t2 else 'fail'}"
     )
-    if rep.structure is not None:
-        s = rep.structure
-        shape = "; ".join(f"{p}: {_fmt_ints(v)}" for p, v in sorted(s.exponents.items()))
-        lines.append(f"base structure {'pass' if s.passed else 'fail'} ({shape})")
-        if s.violation:
-            lines.append(f"  {s.violation}")
+    s = rep.structure
+    shape = "; ".join(f"{p}: {_fmt_ints(v)}" for p, v in sorted(s.exponents.items()))
+    lines.append(f"base structure {'pass' if s.passed else 'fail'} ({shape})")
+    if s.violation:
+        lines.append(f"  {s.violation}")
     g = rep.general
     tag = "complete" if g.complete else "truncated"
     lines.append(f"spectrum to {g.cap} ({tag})  {_fmt_ints(g.indices) or '-'}")

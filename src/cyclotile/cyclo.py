@@ -256,14 +256,8 @@ def cyc_divides(s: int, p: IntPoly) -> bool:
 
     This is the exact oracle, and the only test the verdict asks: both
     routes to it ask through `spectra.ExactTest`, a memo of this function.
-    The spectra report asks it, through the same memo, only for indices
-    that pass three cheaper reject-only stages, which decide no verdict: a
-    partner test that proves non-divisibility from p's exponents modulo a
-    reduced index alone (Mann, Mathematika 12, 1965; Conway and Jones, Acta
-    Arith. 30, 1976), a prime-split test on p's exponents modulo powers of
-    the small primes (de Bruijn, Indag. Math. 15, 1953), and an evaluation
-    of p at a root of unity modulo a prime (see `modular_root_of_unity`).
-    The arguments are in the `spectra` module docstring.
+    The spectra report asks it through the same memo, behind the
+    reject-only stages that the `spectra` module docstring sets out.
     """
     if p.is_zero:
         raise ValueError("divisibility test against the zero polynomial")

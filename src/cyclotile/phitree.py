@@ -462,13 +462,9 @@ def _payload(cert: Certificate) -> dict:
         "prime_power_spectrum": list(cert.report.prime_powers),
         "t1": cert.report.t1,
         "t2": cert.report.t2,
-        "thm42": (
-            {str(p): list(v) for p, v in sorted(structure.exponents.items())}
-            if structure is not None
-            else None
-        ),
-        "thm42_pass": structure.passed if structure is not None else None,
-        "thm42_violation": structure.violation if structure is not None else None,
+        "thm42": {str(p): list(v) for p, v in sorted(structure.exponents.items())},
+        "thm42_pass": structure.passed,
+        "thm42_violation": structure.violation,
         "general_spectrum": {
             "indices": list(cert.report.general.indices),
             "cap": cert.report.general.cap,

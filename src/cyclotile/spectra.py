@@ -32,15 +32,14 @@ some such p is blocked at v_p(u) + 1, and a prime blocked at exponent 1
 never enters m'.
 
 Every context builds its threshold, candidate table and Horner scheme when
-it is made; an index in 2..T is answered by the table.  One off the table
-fails the partner or the prime-split stage, and the memoized partner test
-says which of the two to count.  A candidate goes straight to the modular
-stage.  Index 1 and the indices above T are not in the table's range and
-take the stages in turn, so the table changes no answer and no counter.
-
-Every index s meets three exact, reject-only stages before the context's
-`ExactTest`; an index any stage rejects cannot divide, and an index that
-passes all three still goes to the exact test.
+it is made, and `MaskContext.divides` asks in that order: the table, the
+modular stage, then the context's `ExactTest`.  An index s > 1 off the
+table does not divide, since either s > T or s fails the partner or the
+prime-split stage; the table is complete.  A candidate and index 1 go on
+to the modular stage, and whatever it passes goes to the exact test.  The
+partner, prime-split and modular stages are exact and reject-only: an
+index any of them rejects cannot divide, and one that passes them still
+goes to the exact test.
 
 The partner stage, `MaskContext.may_vanish`, is built on Mann's theorem
 (Mathematika 12, 1965; refined by Conway and Jones, Acta Arith. 30, 1976):
@@ -219,34 +218,26 @@ class MaskContext:
 
     The spectra report asks the same question many times: does the s-th
     cyclotomic divide the polynomial?  It asks through one context, so each
-    index is tested once; `tests` counts the distinct indices tested.  The
+    index is answered once; `tests` counts the distinct indices asked.  The
     context is made on a polynomial or on an `ExactTest`, which validates
     the polynomial and answers the last stage; a decision hands the context
     the exact test its search used.  The stages and the table decide no
     verdict: the divisor tree and the residue tree ask an `ExactTest`.
-    An index meets four stages (module docstring), and each distinct index
-    is counted by the one that decides it: `partner_rejections` for the
-    partner test `may_vanish`, `split_rejections` for the prime-split test
-    `may_vanish_split`, `modular_rejections` for the evaluation modulo a
-    prime, and `exact_tests` for the exact test; the four add up to
-    `tests`.  Every context builds its threshold, candidate table and
-    Horner scheme when it is made; an index in 2..threshold is answered by
-    the table.  One off the table is counted under the partner stage when
-    `may_vanish` fails and under the prime-split stage otherwise: the same
-    answer and the same count as the stages give.  The prime-power
-    spectrum is built on first use, because it asks `divides`.
+    Every context builds its threshold, candidate table and Horner scheme
+    when it is made.  `divides` answers an index s > 1 off the table
+    without a test; any other index is counted under `modular_rejections`
+    when the evaluation modulo a prime rejects it and under `exact_tests`
+    otherwise (module docstring).  The prime-power spectrum is built on
+    first use, because it asks `divides`.
     """
 
     def __init__(self, source: IntPoly | ExactTest):
         self.exact = source if isinstance(source, ExactTest) else ExactTest(source)
         p = self.poly = self.exact.poly
         self.degree: int = p.degree
-        self.partner_rejections = 0
-        self.split_rejections = 0
         self.modular_rejections = 0
         self.exact_tests = 0
         self._divides: dict[int, bool] = {}
-        self._partnered: dict[int, bool] = {}
         self._split: dict[tuple[int, int], bool] = {}
         exps = self._exponents = [e for e, _ in p.terms()]
         self._primes = primes_up_to(len(exps))
@@ -267,7 +258,7 @@ class MaskContext:
 
     @property
     def tests(self) -> int:
-        """The distinct indices tested."""
+        """The distinct indices asked."""
         return len(self._divides)
 
     def may_vanish(self, s: int) -> bool:
@@ -276,11 +267,7 @@ class MaskContext:
 
         False proves that it does not divide; True decides nothing.
         """
-        u = s // gcd(s, self._primorial)
-        hit = self._partnered.get(u)
-        if hit is None:
-            hit = self._partnered[u] = not self._residues(u)[1]
-        return hit
+        return not self._residues(s // gcd(s, self._primorial))[1]
 
     def _residues(self, m: int) -> tuple[set[int], set[int]]:
         """The residues of the exponents modulo m, and those of them that
@@ -340,21 +327,11 @@ class MaskContext:
         return acc == 0
 
     def divides(self, s: int) -> bool:
+        """Does the s-th cyclotomic divide the polynomial?  An index below 1
+        raises ValueError, as it does on `ExactTest`."""
         hit = self._divides.get(s)
         if hit is None:
-            # The candidates in 2..threshold are exactly the indices there
-            # that pass the partner and prime-split stages.
-            if 1 < s <= self.threshold:
-                passed = s in self._candidate_set
-            else:
-                passed = self.may_vanish(s) and self.may_vanish_split(s)
-            if not passed:
-                # The partner test is memoized, so asking it again to
-                # tell the two stages apart is a lookup.
-                if self.may_vanish(s):
-                    self.split_rejections += 1
-                else:
-                    self.partner_rejections += 1
+            if s > 1 and s not in self._candidate_set:
                 hit = False
             elif euler_phi(s) <= self.degree and not self.may_vanish_mod_prime(s):
                 self.modular_rejections += 1
@@ -507,8 +484,8 @@ def _structure(base: int, spectrum: tuple[int, ...]) -> StructureReport:
 
 
 class SpectrumReport(FrozenRecord):
-    """Everything the certificate records about a mask's spectra; `structure`
-    is None when the digit count differs from the base."""
+    """Everything the certificate records about a mask's spectra; the
+    structure check is always set."""
 
     __slots__ = ("prime_powers", "general", "t1", "t2", "structure")
 
@@ -518,7 +495,7 @@ class SpectrumReport(FrozenRecord):
         general: GeneralSpectrum,
         t1: bool,
         t2: bool,
-        structure: StructureReport | None,
+        structure: StructureReport,
     ) -> None:
         setfield(self, "prime_powers", prime_powers)
         setfield(self, "general", general)
@@ -528,8 +505,8 @@ class SpectrumReport(FrozenRecord):
 
 
 def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> SpectrumReport:
-    """Assemble the full spectra section of a certificate; the digit count
-    is P(1).
+    """Assemble the full spectra section of a certificate for a mask of
+    base-many digits, so P(1) = base and the structure check is always set.
 
     The default cap covers the whole certified range for small masks but is
     clamped for large ones, where exhausting the range would cost minutes;
@@ -542,5 +519,5 @@ def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> Spect
         general=_general_spectrum(ctx, cap),
         t1=_t1(ctx),
         t2=_t2(ctx),
-        structure=_structure(base, ctx.prime_powers) if ctx.poly.at_one() == base else None,
+        structure=_structure(base, ctx.prime_powers),
     )

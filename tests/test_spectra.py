@@ -243,6 +243,14 @@ def test_mask_degree_budget():
         MaskContext(mask_polynomial([0, 1, MAX_MASK_DEGREE + 1]))
 
 
+@pytest.mark.parametrize("make", [ExactTest, MaskContext])
+@pytest.mark.parametrize("s", [0, -4])
+def test_an_index_below_one_raises(make, s):
+    """No index below 1 has a cyclotomic; both classes refuse it alike."""
+    with pytest.raises(ValueError):
+        make(mask_polynomial([0, 1, 8, 9])).divides(s)
+
+
 def _planted_polynomials(seed, count):
     """Dense, lacunary and many-term polynomials, half of them times a
     planted Phi_m(x**c); each lacunary one has a random degree below 10**6."""
@@ -400,17 +408,20 @@ def test_partner_test_middle_singleton():
     # share a residue mod 5 and 7 is alone: the first and the last term
     # both have partners, and only the middle term shows that the fifth
     # cyclotomic cannot divide (1 + x**5 + x**7 + x**10 is 3 + z**2 at z).
+    # So 5 is off the candidate table, and `divides` rejects it untested.
     p = mask_polynomial([0, 5, 7, 10])
     ctx = MaskContext(p)
     assert first_last_partner_test(p, 5)
     assert not ctx.may_vanish(5)
+    assert 5 <= ctx.threshold and 5 not in ctx.candidates
     assert not cyc_divides(5, p) and not ctx.divides(5)
-    assert (ctx.tests, ctx.partner_rejections) == (1, 1)
+    assert (ctx.tests, *_stage_counters(ctx)) == (1, 1, 0, 0)
 
 
 def test_modular_stage_never_rejects_a_divisor():
-    """The evaluation modulo a prime only rejects, and the four stage
-    counters of a context add up to its distinct tests."""
+    """The evaluation modulo a prime only rejects, and a context counts each
+    distinct index once: off the table, under `modular_rejections` or under
+    `exact_tests`."""
     divisible = rejected = 0
     for p, indices in _mixed_polynomials(67, 150):
         ctx = MaskContext(p)
@@ -422,24 +433,15 @@ def test_modular_stage_never_rejects_a_divisor():
                 assert modular, (p, s)
             divisible += exact
             rejected += not modular
-            if not ctx.may_vanish(s):
-                counts["partner"] += 1
-            elif not ctx.may_vanish_split(s):
-                counts["split"] += 1
+            if s > 1 and s not in ctx.candidates:
+                counts["table"] += 1
             elif euler_phi(s) <= p.degree and not modular:
                 counts["modular"] += 1
             else:
                 counts["exact"] += 1
             assert ctx.divides(s) == exact, (p, s)
         assert ctx.tests == len(indices)
-        stages = (
-            ctx.partner_rejections,
-            ctx.split_rejections,
-            ctx.modular_rejections,
-            ctx.exact_tests,
-        )
-        assert stages == (counts["partner"], counts["split"], counts["modular"], counts["exact"])
-        assert sum(stages) == ctx.tests
+        assert _stage_counters(ctx) == (counts["table"], counts["modular"], counts["exact"])
     assert divisible > 150 and rejected > 10_000
     # Past the Miller-Rabin bound there is no prime to work modulo, and the
     # stage lets the index through.
@@ -487,28 +489,34 @@ def test_split_stage_never_rejects_a_divisor():
 def test_only_the_split_stage_rejects(digits, s):
     """The partner stage passes s and the modular stage would let it
     through; the prime-split stage rejects it, once with v_p(s) = 1 and
-    once with v_p(s) = 2."""
+    once with v_p(s) = 2.  So s is off the candidate table, and `divides`
+    rejects it with neither the modular stage nor the exact test."""
     p = mask_polynomial(digits)
     ctx = MaskContext(p)
     assert euler_phi(s) <= p.degree
     assert ctx.may_vanish(s) and ctx.may_vanish_mod_prime(s)
     assert not ctx.may_vanish_split(s) and not cyc_divides(s, p)
+    assert s not in ctx.candidates
     assert not ctx.divides(s)
-    assert (ctx.tests, ctx.split_rejections) == (1, 1)
+    assert (ctx.tests, *_stage_counters(ctx)) == (1, 1, 0, 0)
 
 
 def _stage_counters(ctx):
-    return (ctx.partner_rejections, ctx.split_rejections, ctx.modular_rejections, ctx.exact_tests)
+    """The indices a context answered off its table, then its two stage
+    counters."""
+    off_table = ctx.tests - ctx.modular_rejections - ctx.exact_tests
+    return (off_table, ctx.modular_rejections, ctx.exact_tests)
 
 
 def test_stage_counters_are_pinned(monkeypatch):
     """Over the certification of every criterion-08 set and the three
     recipes: the search's divisions, the distinct indices each decision's
-    exact test answers, and the four stage counters of the context that
-    builds each report.  The search asks the exact test alone, so the
-    stages see only the report's indices.  A change that moves work from
-    one stage to another, or that makes the search or the report test more
-    or fewer indices, moves them."""
+    exact test answers, and the stage counters of the context that builds
+    each report.  The search asks the exact test alone, so the stages see
+    only the report's indices, and the report asks none off the candidate
+    table.  A change that moves work from one stage to another, or that
+    makes the search or the report test more or fewer indices, moves
+    them."""
     contexts = []
 
     def recording_report(ctx, base, cap):
@@ -530,37 +538,53 @@ def test_stage_counters_are_pinned(monkeypatch):
     assert len(contexts) == len(suites)
     stages = Counter()
     for ctx in contexts:
-        stages.update(dict(zip(("partner", "split", "modular", "exact"), _stage_counters(ctx))))
+        stages.update(dict(zip(("table", "modular", "exact"), _stage_counters(ctx))))
     assert sum(ctx.tests for ctx in contexts) == sum(stages.values()) == 13_483
-    assert stages == {"partner": 0, "split": 0, "modular": 10_932, "exact": 2_551}
+    assert stages == {"table": 0, "modular": 10_932, "exact": 2_551}
+
+
+class _RecordingExact(ExactTest):
+    """An exact test that records every index asked of it."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.asked = []
+
+    def divides(self, s):
+        self.asked.append(s)
+        return super().divides(s)
 
 
 def test_candidate_table_changes_no_answer_or_counter():
-    """A context answers an index in 2..threshold from its candidate
-    table.  It must answer `divides` as the stages called directly do and
-    move the counter of the stage that rejects the index, or `exact_tests`
-    when none does.  Index 1 and the indices past the threshold take the
-    stages in turn: a polynomial with P(1) = 0 checks the first, and 50
-    indices past each threshold check the second.  A lacunary polynomial's
-    threshold runs into the millions, so its indices are 1..2000 and the
-    50 on either side of the threshold; the others run from 1 to 50 past
-    the threshold."""
+    """A context answers every index above 1 that is off its candidate
+    table False at once.  In 2..threshold the table holds exactly the
+    indices that pass the partner and prime-split stages, and no index
+    past the threshold divides.  So every answer must equal `cyc_divides`,
+    index 1 and indices past the threshold included.  A table rejection
+    moves neither `modular_rejections` nor `exact_tests`, and no index past
+    the threshold reaches the context's exact test.  A polynomial with
+    P(1) = 0 checks index 1.  A lacunary polynomial's threshold runs into
+    the millions, so its indices are 1..2000 and the 50 on either side of
+    the threshold; the others run from 1 to 50 past the threshold."""
     polys = [cyclotomic(1) * mask_polynomial([0, 1, 8, 9])]
     polys += _planted_polynomials(97, 60)
-    stage_names = ("partner", "split", "modular", "exact")
-    past_threshold_exact = 0
+    stage_names = ("table", "modular", "exact")
     for p in polys:
-        ctx = MaskContext(p)
+        exact = _RecordingExact(p)
+        ctx = MaskContext(exact)
         top = ctx.threshold
         if top <= 5000:
             indices = range(1, top + 51)
         else:
             indices = [*range(1, 2001), *range(top - 49, top + 51)]
         for s in indices:
-            if not ctx.may_vanish(s):
-                stage = "partner"
-            elif not ctx.may_vanish_split(s):
-                stage = "split"
+            if 1 < s <= top:
+                on_table = ctx.may_vanish(s) and ctx.may_vanish_split(s)
+                assert (s in ctx.candidates) == on_table, (p, s)
+            if s > 1 and s not in ctx.candidates:
+                stage = "table"
             elif euler_phi(s) <= p.degree and not ctx.may_vanish_mod_prime(s):
                 stage = "modular"
             else:
@@ -569,8 +593,7 @@ def test_candidate_table_changes_no_answer_or_counter():
             got = ctx.divides(s)
             moved = [n for n, a, b in zip(stage_names, before, _stage_counters(ctx)) if a != b]
             assert moved == [stage], (p, s)
-            assert got == (stage == "exact" and cyc_divides(s, p)), (p, s)
-            past_threshold_exact += s > top and stage == "exact"
-        assert ctx.tests == sum(_stage_counters(ctx)) == len(indices), p
+            assert got == (stage == "exact" and cyc_divides(s, p)) == cyc_divides(s, p), (p, s)
+        assert ctx.tests == len(indices), p
+        assert all(s <= top for s in exact.asked), p
     assert MaskContext(polys[0]).divides(1)
-    assert past_threshold_exact > 100
