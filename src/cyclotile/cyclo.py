@@ -23,19 +23,20 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, prod
 
-from .intpoly import IntPoly, divide_exact
+from .intpoly import IntPoly, _reduce_dense, divide_exact
 
 
 # Bounded caches of index arithmetic that depends on no mask.  A 55 s run
 # of the benchmark's corpus workload (seed 1) creates 519 factorize keys,
 # 500 divisors keys (the gaps up to 500), 125 euler_phi keys, 5 primes_up_to
-# keys (the term counts), 9 cyclotomic keys, 106 root-of-unity keys and
-# 206 phi_monotone_bound keys; `phitree` adds 55 children and 5 root keys.
-# Three round trips of every criterion-08 set and recipe create 557, 512,
-# 155, 5, 21, 143 and 212 keys, and 70 and 5 in `phitree`.  The test
-# suite's brute-force factoring of cyclotomic substitutions creates 143
-# cyclotomic keys.  A mask with many terms and a large degree cycles
-# through more keys and recomputes the oldest.
+# keys (the term counts), 4 cyclotomic keys (the kernel check builds only
+# squarefree ones), 105 root-of-unity keys and 206 phi_monotone_bound keys;
+# `phitree` adds 55 children and 5 root keys.  Three round trips of every
+# criterion-08 set and recipe create 557, 512, 155, 5, 4, 132 and 212 keys,
+# and 70 and 5 in `phitree`.  The test suite's brute-force factoring of
+# cyclotomic substitutions creates 143 cyclotomic keys.  A mask with many
+# terms and a large degree cycles through more keys and recomputes the
+# oldest.
 FACTORIZE_CACHE_SIZE = 8192
 DIVISORS_CACHE_SIZE = 4096
 EULER_PHI_CACHE_SIZE = 4096
@@ -288,18 +289,42 @@ def cyclotomic_product(indices) -> IntPoly:
 def cyclotomics_divide(indices, p: IntPoly) -> bool:
     """Does the product of the distinct cyclotomics with these indices divide p?
 
-    Member by member.  The e-th cyclotomic divides x**e - 1, so it divides p
-    exactly when it divides p's remainder modulo x**e - 1; folding the
-    exponents mod e gives that remainder in O(terms), and its degree is
-    below e, so the one exact division by the materialized cyclotomic costs
-    O(e), not O(degree(p)).  Distinct cyclotomics are coprime and monic, so
-    their product divides p exactly when each of them does.  The check is
-    independent of `cyc_divides`.
+    Member by member, by the substitution rule: the e-th cyclotomic is the
+    r-th at x**m, with r = radical(e) and m = e / r.  Write p as the sum over
+    j < m of x**j * p_j(x**m), each p_j collecting the terms x**k with
+    k = j (mod m); a polynomial in x**m divides p exactly when it divides
+    every p_j(x**m), so the e-th cyclotomic divides p exactly when the r-th
+    divides every p_j.  The r-th cyclotomic divides y**r - 1, so each p_j
+    is folded modulo y**r - 1, its term x**k landing at (k // m) mod r of a
+    dense list of length r, before one exact division by the r-th
+    cyclotomic.  The e-th cyclotomic is never built, and the cost follows
+    the term count of p and r, not e or the degree of p: a tree node's
+    radical divides the base's.  Distinct cyclotomics are coprime and
+    monic, so their product divides p exactly when each of them does.  The
+    check is independent of `cyc_divides`.
     """
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         raise ValueError("cyclotomic indices must be distinct")
-    return all(divide_exact(p.fold_mod(e), cyclotomic(e)) is not None for e in indices)
+    return all(_cyclotomic_divides(e, p) for e in indices)
+
+
+def _cyclotomic_divides(e: int, p: IntPoly) -> bool:
+    """Does the e-th cyclotomic divide p?  See `cyclotomics_divide`."""
+    r = radical(e)
+    m = e // r
+    buckets: dict[int, list[int]] = {}
+    for k, c in p.terms():
+        bucket = buckets.get(k % m)
+        if bucket is None:
+            bucket = buckets[k % m] = [0] * r
+        bucket[k // m % r] += c
+    phi = cyclotomic(r)
+    for rem in buckets.values():
+        _reduce_dense(rem, phi)
+        if any(rem):
+            return False
+    return True
 
 
 @lru_cache(maxsize=256)

@@ -11,12 +11,13 @@ Every operation walks only the stored terms, so its cost follows the term
 count, not the degree.  The polynomials this package cares about (digit
 masks, cyclotomics of smooth index) are extremely sparse, and a mask with
 a digit near 2**62 costs no more than one with a digit near 10.  Exact
-division is the one exception: its quotients are dense in general, so
-`divmod_exact` works on a dense list of the dividend's coefficients.  Its
-two callers keep that list short: cyclotomic generation, and the kernel
-check, which first folds the dividend modulo x**e - 1.  The positional
-constructor and `coeffs` are dense views for small literals, tests and that
-division.
+division is the one exception: its quotients are dense in general, so it
+runs on a dense list of the dividend's coefficients, in the one loop
+`_reduce_dense`.  Its two callers keep that list short: cyclotomic
+generation through `divmod_exact`, and the kernel check, which first folds
+the dividend into lists no longer than the radical of a member's index.
+The positional constructor and `coeffs` are dense views for small
+literals, tests and that division.
 """
 
 from __future__ import annotations
@@ -187,16 +188,24 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
     the division runs on a dense list of p's coefficients: this is the one
     operation whose cost grows with the degree.
     """
+    rem = list(p.coeffs)
+    quot = _reduce_dense(rem, q)
+    return IntPoly(quot), IntPoly(rem[: q.degree])
+
+
+def _reduce_dense(rem: list[int], q: IntPoly) -> list[int]:
+    """Reduce the dense coefficient list rem modulo q in place, and return
+    the quotient's dense coefficients; rem[:degree(q)] is then the
+    remainder.  q must be nonzero with leading coefficient 1 or -1.  The
+    one division loop of the package: `divmod_exact` and the kernel check
+    (`cyclo.cyclotomics_divide`) both run it."""
     if q.is_zero:
         raise ValueError("division by the zero polynomial")
     if q.leading not in (1, -1):
         raise ValueError("divisor leading coefficient must be 1 or -1")
     dq, lead = q.degree, q.leading
-    if p.is_zero or p.degree < dq:
-        return IntPoly.zero(), p
-    rem = list(p.coeffs)
     low = q.terms()[:-1]  # the divisor below its leading term
-    quot = [0] * (len(rem) - dq)
+    quot = [0] * max(len(rem) - dq, 0)
     for i in range(len(rem) - 1, dq - 1, -1):
         c = rem[i]
         if c:
@@ -207,7 +216,7 @@ def divmod_exact(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:
             base = i - dq
             for e, qc in low:
                 rem[base + e] -= c * qc
-    return IntPoly(quot), IntPoly(rem[:dq])
+    return quot
 
 
 def divide_exact(p: IntPoly, q: IntPoly):

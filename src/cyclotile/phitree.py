@@ -420,7 +420,8 @@ def decide_tile_digit_set(base: int, digits, spectrum_cap: int | None = None) ->
 
     The digit set must have base-many distinct non-negative members
     including 0 and digit gcd 1; anything else raises instead of guessing a
-    normalization.
+    normalization.  A spectrum cap other than an int of at least 1 (a bool
+    included) raises ValueError, as the loader would refuse it.
     """
     ds = DigitSet.for_tiling(base, digits)
     return _certify(ExactTest(ds.mask()), base, ds.digits, spectrum_cap)
@@ -492,7 +493,8 @@ def certificate_from_json(text: str) -> Certificate:
     """Parse a serialized certificate, re-verifying it rather than trusting it.
 
     The digit set is decided again, with the payload's general-spectrum cap,
-    and the payload must be exactly what that decision serializes to; the
+    and the payload must be exactly what that decision serializes to, as
+    the compact text `certificate_to_json` writes or as equal JSON; the
     optional fields are `search` and `protasov_blocking`, and the latter is
     recomputed by the residue-tree route when present.  A tile certificate
     may carry any blocking whose kernel divides the mask, not only the one
@@ -544,7 +546,9 @@ def certificate_from_json(text: str) -> Certificate:
     expected = _payload(cert)
     if "search" not in payload:
         del expected["search"]
-    if _text(payload) != _text(expected):
+    # Equal text is equal values of equal types, so the sorted comparison
+    # runs only on text that `certificate_to_json` would not have written.
+    if text != json.dumps(expected) and _text(payload) != _text(expected):
         raise CertificateError(_first_difference(payload, expected))
     return cert
 

@@ -36,7 +36,9 @@ it is made, and `MaskContext.divides` asks in that order: the table, the
 modular stage, then the context's `ExactTest`.  An index s > 1 off the
 table does not divide, since either s > T or s fails the partner or the
 prime-split stage; the table is complete.  A candidate and index 1 go on
-to the modular stage, and whatever it passes goes to the exact test.  The
+to the modular stage, and whatever it passes goes to the exact test.  An
+index that the exact test has already answered skips the modular stage:
+a decision's search and order ask it first, and their answers are free.  The
 partner, prime-split and modular stages are exact and reject-only: an
 index any of them rejects cannot divide, and one that passes them still
 goes to the exact test.
@@ -118,7 +120,6 @@ On top of the spectra sit three checks used throughout the package:
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -225,10 +226,13 @@ class MaskContext:
     verdict: the divisor tree and the residue tree ask an `ExactTest`.
     Every context builds its threshold, candidate table and Horner scheme
     when it is made.  `divides` answers an index s > 1 off the table
-    without a test; any other index is counted under `modular_rejections`
-    when the evaluation modulo a prime rejects it and under `exact_tests`
-    otherwise (module docstring).  The prime-power spectrum is built on
-    first use, because it asks `divides`.
+    without a test.  Any other index that the exact test has already
+    answered, as the decision's search and order leave it, is read from its
+    memo; the rest are counted under `modular_rejections` when the
+    evaluation modulo a prime rejects them.  The memo's answers and the
+    exact test's new ones are counted under `exact_tests` (module
+    docstring).  The prime-power spectrum is built once, on first use,
+    because it asks `divides`.
     """
 
     def __init__(self, source: IntPoly | ExactTest):
@@ -239,6 +243,7 @@ class MaskContext:
         self.exact_tests = 0
         self._divides: dict[int, bool] = {}
         self._split: dict[tuple[int, int], bool] = {}
+        self._prime_powers: tuple[int, ...] | None = None
         exps = self._exponents = [e for e, _ in p.terms()]
         self._primes = primes_up_to(len(exps))
         self._primorial = prod(self._primes)
@@ -333,7 +338,11 @@ class MaskContext:
         if hit is None:
             if s > 1 and s not in self._candidate_set:
                 hit = False
-            elif euler_phi(s) <= self.degree and not self.may_vanish_mod_prime(s):
+            elif (
+                s not in self.exact._memo
+                and euler_phi(s) <= self.degree
+                and not self.may_vanish_mod_prime(s)
+            ):
                 self.modular_rejections += 1
                 hit = False
             else:
@@ -342,11 +351,15 @@ class MaskContext:
             self._divides[s] = hit
         return hit
 
-    @cached_property
+    @property
     def prime_powers(self) -> tuple[int, ...]:
         """Prime powers q > 1 whose cyclotomic divides the polynomial, ascending:
         the candidates that are prime powers and divide."""
-        return tuple(q for q in self.candidates if is_prime_power(q) and self.divides(q))
+        if self._prime_powers is None:
+            self._prime_powers = tuple(
+                q for q in self.candidates if is_prime_power(q) and self.divides(q)
+            )
+        return self._prime_powers
 
 
 def prime_power_spectrum(p: IntPoly) -> tuple[int, ...]:
@@ -375,13 +388,16 @@ def general_spectrum(p: IntPoly, cap: int) -> GeneralSpectrum:
     """All indices 2..cap whose cyclotomic divides p, with completeness flag.
 
     The result is certified complete when cap reaches the threshold beyond
-    which every index has totient above degree(p).  A cap below 1 raises
-    ValueError.
+    which every index has totient above degree(p).  A cap that is not an
+    int, or is a bool or below 1, raises ValueError.
     """
     return _general_spectrum(MaskContext(p), cap)
 
 
 def _general_spectrum(ctx: MaskContext, cap: int) -> GeneralSpectrum:
+    # A bool or a float cap would be written, and refused on reload.
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise ValueError(f"spectrum cap must be an integer, got {cap!r}")
     if cap < 1:
         raise ValueError(f"spectrum cap must be at least 1, got {cap}")
     return GeneralSpectrum(
@@ -510,7 +526,8 @@ def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> Spect
 
     The default cap covers the whole certified range for small masks but is
     clamped for large ones, where exhausting the range would cost minutes;
-    the report's complete flag records which situation applies.
+    the report's complete flag records which situation applies.  A cap
+    that is not an int, or is a bool or below 1, raises ValueError.
     """
     if cap is None:
         cap = min(ctx.threshold, max(100, 4 * ctx.degree))

@@ -4,6 +4,8 @@ import itertools
 import math
 import pkgutil
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -266,6 +268,93 @@ def test_cyclotomics_divide():
     lacunary = mask_polynomial([0, 1, 2, 999_999])
     assert cyclotomics_divide([2, 4], lacunary)
     assert not cyclotomics_divide([2, 3], lacunary)
+
+
+def test_cyclotomics_divide_matches_cyc_divides():
+    """Member by member, the substitution-rule check answers as the
+    division-free test does, on seeded masks with a planted cyclotomic and
+    without one.  Every third index is a base-30 tree node, whose radical
+    has three primes, and its mask is spread over many residues modulo
+    e / radical(e)."""
+    rng = random.Random(31)
+    answers = Counter()
+    for trial in range(300):
+        if trial % 3 == 0:
+            e = 30 * 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 2)
+            digits = rng.sample(range(0, 4 * e), rng.randint(1, 10))
+        else:
+            e = rng.randint(1, 80)
+            digits = rng.sample(range(0, 200), rng.randint(1, 10))
+        p = mask_polynomial(digits)
+        if trial % 2:
+            p = p * cyclotomic(e)
+            if trial % 4 == 1:
+                p = p + IntPoly.x_power(rng.randrange(p.degree + 1))
+        if p.is_zero:
+            continue
+        want = cyc_divides(e, p)
+        assert cyclotomics_divide((e,), p) == want, (e, digits, trial)
+        answers[want, radical(e) % 30 == 0] += 1
+    assert all(answers[key] >= 10 for key in itertools.product((True, False), repeat=2))
+
+
+def test_cyclotomics_divide_deep_member():
+    """A member near 2**62 is checked through its radical's cyclotomic, so
+    no list longer than the radical is built: (1 + x)(1 + x**(2 * 4**30))
+    is divided by the 2nd and the 2**62-th cyclotomics, and not by the
+    2**61-th."""
+    k = 2 * 4**30
+    p = mask_polynomial([0, 1, k, k + 1])
+    start = time.perf_counter()
+    assert cyclotomics_divide((2, 2**62), p)
+    assert not cyclotomics_divide((2**61,), p)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_kernel_check_divides_below_the_radical(monkeypatch):
+    """Every divisor that reaches the division loop on the kernel check's
+    path, cyclotomic generation included, has degree below radical(e).
+    The check divides one list of length radical(e) per residue of the
+    exponents modulo e / radical(e), and no cyclotomic of an index that is
+    not squarefree is built: never the e-th, of degree euler_phi(e)."""
+    from cyclotile import cyclo, intpoly
+
+    seen = []
+    built = []
+    reduce_dense = intpoly._reduce_dense
+    make = cyclo.cyclotomic
+
+    def recording(caller):
+        def record(rem, q):
+            seen.append((caller, len(rem), q.degree))
+            return reduce_dense(rem, q)
+
+        return record
+
+    def recording_cyclotomic(n):
+        built.append(n)
+        return make(n)
+
+    monkeypatch.setattr(intpoly, "_reduce_dense", recording("generation"))
+    monkeypatch.setattr(cyclo, "_reduce_dense", recording("check"))
+    monkeypatch.setattr(cyclo, "cyclotomic", recording_cyclotomic)
+    make.cache_clear()
+    masks = [
+        mask_polynomial([0, 1, 2**19, 2**19 + 1]),
+        mask_polynomial(range(30)),
+        mask_polynomial([0, 7, 45, 101, 2_000, 7_777]),
+    ]
+    for e in (2**20, 4, 30, 2**3 * 3**2 * 5 * 7, 2 * 3**5 * 5**2, 210):
+        r = radical(e)
+        for p in masks:
+            seen.clear()
+            built.clear()
+            cyclotomics_divide((e,), p)
+            checks = [length for caller, length, _ in seen if caller == "check"]
+            assert all(degree < r for _, _, degree in seen), (e, seen)
+            assert set(checks) == {r}, (e, seen)
+            assert len(checks) <= len({k % (e // r) for k, _ in p.terms()})
+            assert all(n == radical(n) for n in built), (e, built)
 
 
 def sieve_phi_bounds(limit):

@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from cyclotile import phitree, spectra
-from cyclotile.cyclo import cyc_divides, cyclotomic, cyclotomic_product, euler_phi
+from cyclotile.cyclo import (
+    cyc_divides,
+    cyclotomic,
+    cyclotomic_product,
+    euler_phi,
+    is_prime_power,
+)
 from cyclotile.digitset import DigitSet
 from cyclotile.errors import (
     CertificateError,
@@ -580,6 +586,35 @@ def test_certificate_keeps_its_spectrum_cap():
         decide_tile_digit_set(4, (0, 1, 8, 9), spectrum_cap=-5)
 
 
+@pytest.mark.parametrize(
+    "base, digits",
+    [(4, (0, 1, 8, 9)), (4, (0, 1, 4, 5)), (12, MODULO_DIGITS), (4, (0, 1, 2**19, 2**19 + 1))],
+)
+def test_certificate_reloads_from_any_layout(monkeypatch, base, digits):
+    """The compact text that `certificate_to_json` writes reloads without the
+    sorted-key comparison.  Text with indent 2, or with its keys in reverse
+    order, takes that comparison and still loads, and every load prints
+    back byte for byte."""
+    cert = decide_tile_digit_set(base, digits)
+    compact = certificate_to_json(cert)
+    pretty = certificate_to_json(cert, indent=2)
+    reversed_keys = json.dumps(dict(reversed(list(json.loads(compact).items()))))
+    sorted_comparisons = []
+    text = phitree._text
+
+    def counting_text(value):
+        sorted_comparisons.append(value)
+        return text(value)
+
+    monkeypatch.setattr(phitree, "_text", counting_text)
+    for layout, fast in ((compact, True), (pretty, False), (reversed_keys, False)):
+        sorted_comparisons.clear()
+        back = certificate_from_json(layout)
+        assert certificate_to_json(back) == compact
+        assert certificate_to_json(back, indent=2) == pretty
+        assert (not sorted_comparisons) == fast
+
+
 def _recipe_sets():
     return [(made.base, made.digits) for made in map(load_recipe, sorted(RECIPES.glob("*.json")))]
 
@@ -628,16 +663,35 @@ def test_divisor_route_builds_no_context_and_keeps_the_budget(monkeypatch):
 
 
 def test_modular_stage_decides_no_verdict(monkeypatch):
-    """A modular stage that rejects every index empties the spectra and
-    leaves the verdict, blocking, order and search counters as they were."""
+    """A modular stage that rejects every index leaves the verdict,
+    blocking, order and search counters as they were.  The spectra then
+    hold exactly the dividing indices that the decision's exact test had
+    already answered when the report began: the context reads those from
+    its memo before the modular stage."""
     sets = _recipe_sets()
     honest = [decide_tile_digit_set(base, digits) for base, digits in sets]
+    answered = []
+
+    def recording_report(ctx, base, cap):
+        answered.append({s for s, hit in ctx.exact._memo.items() if hit})
+        return spectra.context_report(ctx, base, cap)
+
+    monkeypatch.setattr(phitree, "context_report", recording_report)
     monkeypatch.setattr(spectra.MaskContext, "may_vanish_mod_prime", lambda self, s: False)
+    lost = 0
     for (base, digits), cert in zip(sets, honest):
         got = decide_tile_digit_set(base, digits)
-        assert cert.report.prime_powers and not got.report.prime_powers
+        known = answered[-1]
+        general = got.report.general
+        assert general.indices == tuple(sorted(s for s in known if s <= general.cap))
+        assert got.report.prime_powers == tuple(
+            sorted(q for q in known if is_prime_power(q))
+        )
+        assert set(general.indices) <= set(cert.report.general.indices)
+        lost += len(cert.report.general.indices) - len(general.indices)
         assert (got.verdict, got.blocking, got.order) == (cert.verdict, cert.blocking, cert.order)
         assert got.stats == cert.stats
+    assert lost > 0
 
 
 @pytest.mark.parametrize("base, digits", [(4, (0, 1, 8, 9)), (12, MODULO_DIGITS)])

@@ -98,6 +98,19 @@ def test_general_spectrum_refuses_a_cap_below_one():
             context_report(MaskContext(p), 4, cap)
 
 
+@pytest.mark.parametrize("cap", [True, 10.0, 2.5])
+def test_spectrum_cap_must_be_an_int(cap):
+    """A bool or a float cap is refused where the report is built, as the
+    loader refuses it, so no certificate is written that cannot reload."""
+    p = mask_polynomial([0, 1, 8, 9])
+    with pytest.raises(ValueError, match="must be an integer"):
+        general_spectrum(p, cap)
+    with pytest.raises(ValueError, match="must be an integer"):
+        context_report(MaskContext(p), 4, cap)
+    with pytest.raises(ValueError, match="must be an integer"):
+        phitree.decide_tile_digit_set(4, (0, 1, 8, 9), spectrum_cap=cap)
+
+
 def test_completeness_threshold_exact_region():
     assert completeness_threshold(9) == 30
     assert completeness_threshold(5) == 12
@@ -514,9 +527,10 @@ def test_stage_counters_are_pinned(monkeypatch):
     exact test answers, and the stage counters of the context that builds
     each report.  The search asks the exact test alone, so the stages see
     only the report's indices, and the report asks none off the candidate
-    table.  A change that moves work from one stage to another, or that
-    makes the search or the report test more or fewer indices, moves
-    them."""
+    table.  An index that the search or the order already answered is read
+    from the exact test's memo and counted as exact, never as modular.  A
+    change that moves work from one stage to another, or that makes the
+    search or the report test more or fewer indices, moves them."""
     contexts = []
 
     def recording_report(ctx, base, cap):
@@ -540,7 +554,7 @@ def test_stage_counters_are_pinned(monkeypatch):
     for ctx in contexts:
         stages.update(dict(zip(("table", "modular", "exact"), _stage_counters(ctx))))
     assert sum(ctx.tests for ctx in contexts) == sum(stages.values()) == 13_483
-    assert stages == {"table": 0, "modular": 10_932, "exact": 2_551}
+    assert stages == {"table": 0, "modular": 9_386, "exact": 4_097}
 
 
 class _RecordingExact(ExactTest):
