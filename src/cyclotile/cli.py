@@ -93,7 +93,7 @@ def _cross_check(cert) -> str | None:
 def _emit_certificate(cert, args, envelope: dict | None = None) -> int:
     """Cross-check when asked, then print the certificate; JSON output goes
     under "certificate" after the envelope's fields when one is given."""
-    from .phitree import certificate_to_json, search_dot
+    from .phitree import _payload, certificate_to_json, search_dot
 
     if args.cross_check:
         complaint = _cross_check(cert)
@@ -101,8 +101,7 @@ def _emit_certificate(cert, args, envelope: dict | None = None) -> int:
             print(f"disagreement: {complaint}", file=sys.stderr)
             return EXIT_DISAGREEMENT
     if args.format == "json" and envelope is not None:
-        certificate = json.loads(certificate_to_json(cert))
-        print(json.dumps({**envelope, "certificate": certificate}, indent=2))
+        print(json.dumps({**envelope, "certificate": _payload(cert)}, indent=2))
     elif args.format == "json":
         print(certificate_to_json(cert, indent=2))
     elif args.format == "dot":

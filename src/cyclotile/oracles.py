@@ -17,7 +17,7 @@ from .digitset import DigitSet
 from .errors import CyclotileError, InvalidDigitSet
 from .intpoly import mask_polynomial
 from .phitree import blocking_search
-from .record import FrozenRecord, setfield
+from .record import FrozenRecord
 from .spectra import prime_power_spectrum
 
 # Hard ceiling on the period scan, for the default cap and an explicit one
@@ -52,9 +52,6 @@ class IntervalUnion(FrozenRecord):
     """Disjoint nonempty closed intervals with rational endpoints, sorted."""
 
     __slots__ = ("intervals",)
-
-    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> None:
-        setfield(self, "intervals", intervals)
 
     @classmethod
     def of(cls, pairs) -> "IntervalUnion":
@@ -128,11 +125,6 @@ class ResidueTiling(FrozenRecord):
     modulo period exactly once."""
 
     __slots__ = ("period", "digits", "complement")
-
-    def __init__(self, period: int, digits: tuple[int, ...], complement: tuple[int, ...]) -> None:
-        setfield(self, "period", period)
-        setfield(self, "digits", digits)
-        setfield(self, "complement", complement)
 
     def covers_exactly(self) -> bool:
         counts = [0] * self.period
@@ -236,14 +228,6 @@ class ContinuityReport(FrozenRecord):
     """Outcome of the relaxed blocking search on an arbitrary-size mask."""
 
     __slots__ = ("base", "digits", "accepted", "blocking")
-
-    def __init__(
-        self, base: int, digits: tuple[int, ...], accepted: bool, blocking: tuple[int, ...] | None
-    ) -> None:
-        setfield(self, "base", base)
-        setfield(self, "digits", digits)
-        setfield(self, "accepted", accepted)
-        setfield(self, "blocking", blocking)
 
 
 def absolute_continuity_check(base: int, digits) -> ContinuityReport:

@@ -39,7 +39,7 @@ from .cyclo import (
 from .digitset import DigitSet
 from .errors import CertificateError, CyclotileError, InvalidBlocking, NotInTree
 from .intpoly import IntPoly
-from .record import FrozenRecord, Record, setfield
+from .record import FrozenRecord, Record
 from .spectra import ExactTest, MaskContext, SpectrumReport, context_report
 
 CERTIFICATE_SCHEMA = "cyclotile.certificate/1"
@@ -71,12 +71,6 @@ class SearchStats(Record):
     search added to the exact test's memo."""
 
     __slots__ = ("nodes", "divisions", "max_depth", "pruned")
-
-    def __init__(self, nodes: int, divisions: int, max_depth: int, pruned: int) -> None:
-        self.nodes = nodes
-        self.divisions = divisions
-        self.max_depth = max_depth
-        self.pruned = pruned
 
 
 def blocking_search(p: IntPoly, b: int):
@@ -120,10 +114,6 @@ class Blocking(FrozenRecord):
     """A finite antichain of tree nodes meeting every root path once."""
 
     __slots__ = ("base", "indices")
-
-    def __init__(self, base: int, indices: tuple[int, ...]) -> None:
-        setfield(self, "base", base)
-        setfield(self, "indices", indices)
 
     @classmethod
     def checked(cls, base: int, indices) -> "Blocking":
@@ -287,11 +277,6 @@ class P1Report(FrozenRecord):
     """Order-1 condition; `witnesses` maps root divisor -> substitution exponent."""
 
     __slots__ = ("holds", "witnesses", "failing")
-
-    def __init__(self, holds: bool, witnesses: dict[int, int], failing: int | None) -> None:
-        setfield(self, "holds", holds)
-        setfield(self, "witnesses", witnesses)
-        setfield(self, "failing", failing)
 
 
 def _full_divisibility_exponent(t: int, base: int, exact: ExactTest) -> int | None:

@@ -114,18 +114,6 @@ class StageTrace(FrozenRecord):
 
     __slots__ = ("base", "stage_spectra", "kernels", "moduli")
 
-    def __init__(
-        self,
-        base: int,
-        stage_spectra: tuple[tuple[int, ...], ...],
-        kernels: tuple[tuple[int, ...], ...],
-        moduli: tuple[int, ...],
-    ) -> None:
-        setfield(self, "base", base)
-        setfield(self, "stage_spectra", stage_spectra)
-        setfield(self, "kernels", kernels)
-        setfield(self, "moduli", moduli)
-
     @property
     def kernel_indices(self) -> tuple[int, ...]:
         return self.kernels[-1]
@@ -168,22 +156,6 @@ class Construction(FrozenRecord):
     """A built digit set plus how it was put together."""
 
     __slots__ = ("kind", "digit_set", "order", "trace", "stage_digits", "inner")
-
-    def __init__(
-        self,
-        kind: str,
-        digit_set: DigitSet,
-        order: int,
-        trace: StageTrace | None = None,
-        stage_digits: tuple[tuple[int, ...], ...] | None = None,
-        inner: Construction | None = None,
-    ) -> None:
-        setfield(self, "kind", kind)
-        setfield(self, "digit_set", digit_set)
-        setfield(self, "order", order)
-        setfield(self, "trace", trace)
-        setfield(self, "stage_digits", stage_digits)
-        setfield(self, "inner", inner)
 
     @property
     def base(self) -> int:
@@ -237,7 +209,7 @@ def _build_stages(dec: Decomposition, kind: str, representatives) -> Constructio
     ds = DigitSet.of(dec.base, digits)
     ds.require_cardinality()
     return Construction(
-        kind=kind, digit_set=ds, order=1, trace=trace, stage_digits=tuple(stage_digits)
+        kind=kind, digit_set=ds, order=1, trace=trace, stage_digits=tuple(stage_digits), inner=None
     )
 
 
@@ -287,6 +259,7 @@ def build_weak_product_form(dec: Decomposition, representatives) -> Construction
         order=1,
         trace=plain.trace,
         stage_digits=plain.stage_digits + (ds.digits,),
+        inner=None,
     )
 
 

@@ -27,7 +27,7 @@ import math
 from .cyclo import euler_phi
 from .digitset import DigitSet
 from .errors import CyclotileError, NotInTree
-from .record import FrozenRecord, Record, setfield
+from .record import FrozenRecord, Record
 from .spectra import ExactTest
 
 
@@ -35,10 +35,6 @@ class Vertex(FrozenRecord):
     """A residue m at tree level k; the walk sorts (level, value) pairs, not vertices."""
 
     __slots__ = ("level", "value")
-
-    def __init__(self, level: int, value: int) -> None:
-        setfield(self, "level", level)
-        setfield(self, "value", value)
 
 
 def tau_index(value: int, level: int, base: int) -> int:
@@ -71,28 +67,11 @@ def vertex_label(v: Vertex, base: int) -> str:
 class ProtasovStats(Record):
     __slots__ = ("vertices", "divisions", "max_level")
 
-    def __init__(self, vertices: int = 0, divisions: int = 0, max_level: int = 0) -> None:
-        self.vertices = vertices
-        self.divisions = divisions
-        self.max_level = max_level
-
 
 class ProtasovResult(Record):
     """Outcome of the residue-tree search; `status` is "blocking" or "absent"."""
 
     __slots__ = ("status", "base", "blocking", "stats")
-
-    def __init__(
-        self,
-        status: str,
-        base: int,
-        blocking: tuple[Vertex, ...] | None,
-        stats: ProtasovStats | None = None,
-    ) -> None:
-        self.status = status
-        self.base = base
-        self.blocking = blocking
-        self.stats = ProtasovStats() if stats is None else stats
 
     @property
     def is_tile(self) -> bool:
@@ -133,7 +112,7 @@ def protasov_decide(base: int, digits) -> ProtasovResult:
     CyclotileError once it pops more than MAX_RESIDUE_VERTICES vertices.
     """
     exact = _exact_test(base, digits)
-    stats = ProtasovStats()
+    stats = ProtasovStats(0, 0, 0)
     hits: list[tuple[int, int]] = []
     # Children go on in reverse, so the pops visit them in digit order.
     stack = [(m, 1) for m in range(base - 1, 0, -1)]
@@ -163,14 +142,6 @@ class KenyonReport(FrozenRecord):
     """Level check; `witnesses` maps each integer to the first level whose index divides."""
 
     __slots__ = ("holds", "witnesses", "failing", "limit")
-
-    def __init__(
-        self, holds: bool, witnesses: dict[int, int], failing: int | None, limit: int
-    ) -> None:
-        setfield(self, "holds", holds)
-        setfield(self, "witnesses", witnesses)
-        setfield(self, "failing", failing)
-        setfield(self, "limit", limit)
 
 
 def kenyon_check(base: int, digits, m_limit: int = 200) -> KenyonReport:

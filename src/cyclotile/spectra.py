@@ -137,7 +137,7 @@ from .cyclo import (
 from .digitset import DigitSet
 from .errors import CyclotileError
 from .intpoly import IntPoly, mask_polynomial
-from .record import FrozenRecord, setfield
+from .record import FrozenRecord
 
 # Largest mask degree that an `ExactTest` takes.  The completeness
 # threshold no longer scales with the degree (`phi_monotone_bound` is a
@@ -372,12 +372,6 @@ class GeneralSpectrum(FrozenRecord):
 
     __slots__ = ("indices", "cap", "threshold", "complete")
 
-    def __init__(self, indices: tuple[int, ...], cap: int, threshold: int, complete: bool) -> None:
-        setfield(self, "indices", indices)
-        setfield(self, "cap", cap)
-        setfield(self, "threshold", threshold)
-        setfield(self, "complete", complete)
-
 
 def completeness_threshold(degree: int) -> int:
     """Smallest T such that no index above T can divide a degree-`degree` mask."""
@@ -454,13 +448,6 @@ class StructureReport(FrozenRecord):
 
     __slots__ = ("passed", "exponents", "violation")
 
-    def __init__(
-        self, passed: bool, exponents: dict[int, tuple[int, ...]], violation: str | None
-    ) -> None:
-        setfield(self, "passed", passed)
-        setfield(self, "exponents", exponents)
-        setfield(self, "violation", violation)
-
 
 def spectrum_structure(base: int, digits) -> StructureReport:
     """For base-many digits: does the prime-power spectrum mirror the base?
@@ -504,20 +491,6 @@ class SpectrumReport(FrozenRecord):
     structure check is always set."""
 
     __slots__ = ("prime_powers", "general", "t1", "t2", "structure")
-
-    def __init__(
-        self,
-        prime_powers: tuple[int, ...],
-        general: GeneralSpectrum,
-        t1: bool,
-        t2: bool,
-        structure: StructureReport,
-    ) -> None:
-        setfield(self, "prime_powers", prime_powers)
-        setfield(self, "general", general)
-        setfield(self, "t1", t1)
-        setfield(self, "t2", t2)
-        setfield(self, "structure", structure)
 
 
 def context_report(ctx: MaskContext, base: int, cap: int | None = None) -> SpectrumReport:

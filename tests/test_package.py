@@ -3,6 +3,7 @@ import footprint, and the record classes' equality, hashing, immutability,
 repr and copying."""
 
 import ast
+import inspect
 import json
 import os
 import pickle
@@ -187,12 +188,24 @@ NAMESPACE = {
 @pytest.mark.parametrize("name, kind, make", RECORDS, ids=[r[0] for r in RECORDS])
 def test_record_contract(name, kind, make):
     a, b = make(), make()
-    assert type(a).__name__ == name
+    cls, slots = type(a), type(a).__slots__
+    assert cls.__name__ == name
     assert a == b and not a != b
-    assert a != object() and a != tuple(getattr(a, f) for f in type(a).__slots__)
+    assert a != object() and a != tuple(getattr(a, f) for f in slots)
     assert eval(repr(a), NAMESPACE) == a
     assert pickle.loads(pickle.dumps(a)) == a
-    field = type(a).__slots__[0]
+    if name != "IntPoly":  # its one slot, `_terms`, is not its constructor's parameter
+        # Generated or written, the constructor takes the slots, in order.
+        assert tuple(inspect.signature(cls).parameters) == slots
+        fields = {f: getattr(a, f) for f in slots}
+        assert cls(**fields) == a
+        with pytest.raises(TypeError):
+            cls(*fields.values(), None)
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=None)
+        with pytest.raises(TypeError):
+            cls(**{f: v for f, v in fields.items() if f != slots[0]})
+    field = slots[0]
     if kind == "mutable":
         with pytest.raises(TypeError):
             hash(a)

@@ -592,7 +592,8 @@ def test_certificate_keeps_its_spectrum_cap():
 )
 def test_certificate_reloads_from_any_layout(monkeypatch, base, digits):
     """The compact text that `certificate_to_json` writes reloads without the
-    sorted-key comparison.  Text with indent 2, or with its keys in reverse
+    sorted-key comparison.  Text with indent 2 (also with the newline that
+    `analyze --format json` prints after it), or with its keys in reverse
     order, takes that comparison and still loads, and every load prints
     back byte for byte."""
     cert = decide_tile_digit_set(base, digits)
@@ -607,7 +608,8 @@ def test_certificate_reloads_from_any_layout(monkeypatch, base, digits):
         return text(value)
 
     monkeypatch.setattr(phitree, "_text", counting_text)
-    for layout, fast in ((compact, True), (pretty, False), (reversed_keys, False)):
+    layouts = ((compact, True), (pretty, False), (pretty + "\n", False), (reversed_keys, False))
+    for layout, fast in layouts:
         sorted_comparisons.clear()
         back = certificate_from_json(layout)
         assert certificate_to_json(back) == compact
